@@ -27,14 +27,12 @@ Five further sections exercise the serving stack's newer layers: a
 **shard-count sweep** replays the trace through
 :class:`repro.serve.ShardedEngine` at {1, 2, 4} worker processes
 (digest-hash routing keeps each shard's LRU hot; 1 shard is the in-process
-fallback); an **IPC transport** pass re-runs that sweep with *pinned*
-fleets (``min_shards == max_shards``, so every point pays real
-cross-process traffic, including n=1) under both the pickling queue
-transport and the zero-copy shared-memory rings — interleaved reps with
-medians, recording the shm/queue throughput ratio at each shard count,
-the sharding crossover point (smallest fleet within the noise tolerance
-of the sweep's best), and exact queue-vs-shm verdict parity on a
-1k-snippet trace; an **eviction-pressure** pass runs the trace against a
+fallback); an **IPC** pass re-runs that sweep with *pinned* fleets
+(``min_shards == max_shards``, so every point pays real cross-process
+traffic over the worker queues, including n=1) — interleaved reps with
+medians, recording the 2-shard/1-shard throughput ratio and the
+sharding crossover point (smallest fleet within the noise tolerance of
+the sweep's best) on a 1k-snippet trace; an **eviction-pressure** pass runs the trace against a
 deliberately undersized prediction cache to record the eviction counters
 and batch-size histogram end to end; a **clause-gating** pass replays a
 majority-negative trace through gated and ungated multi-model engines
@@ -64,14 +62,10 @@ real (possibly recovered) model verdict, and the ``recovered``/
 sweep and autoscale sections measure routing/IPC overhead rather than
 scaling — multi-shard numbers sitting below the in-process fallback is
 expected there, and the recorded values exist for cross-run comparison,
-not as a speedup claim.  The same caveat applies to the IPC pass: with
-one core the queue baseline's C-speed pickler plus feeder-thread
-pipelining is a strong opponent and the shm rings sit near (not above)
-parity; what the gated ratios assert is that the *sharding tax* is gone
-— pinned 2-shard throughput within tolerance of 1-shard, where the PR 2
-queue sweep lost >30% to re-pickling — and that verdicts are
-bit-identical across transports.  On a multi-core host the crossover
-counter records where scaling genuinely begins.
+not as a speedup claim.  The same caveat applies to the IPC pass: what
+its gated ratios assert is that the *sharding tax* stays bounded —
+pinned 2-shard throughput within tolerance of 1-shard.  On a multi-core
+host the crossover counter records where scaling genuinely begins.
 
 Predictions are weight-independent in cost, so an untrained PragFormer at
 the default (paper-shaped) size keeps the bench self-contained and fast.
@@ -105,7 +99,6 @@ from repro.serve import (
     ModelRegistry,
     MultiModelEngine,
     ShardedEngine,
-    ShmRing,
     SupervisorConfig,
     canary_routes,
     make_server,
@@ -117,7 +110,7 @@ pytestmark = pytest.mark.perf
 N_REQUESTS = 512
 ZIPF_EXPONENT = 1.35  # ~110 distinct snippets across the 512 requests
 SHARD_COUNTS = (1, 2, 4)
-IPC_REPS = 3              # interleaved queue/shm reps per shard count
+IPC_REPS = 3              # interleaved reps per pinned shard count
 IPC_WARM_PASSES = 2       # warm passes per fleet; best-of is recorded
 IPC_CROSSOVER_TOL = 0.9   # "within noise of best" for the crossover point
 PRESSURE_CACHE = 48  # smaller than the trace's distinct set -> forced evictions
@@ -221,9 +214,9 @@ class _SlowAdvisor:
         self.inner = inner
         self.delay_s = delay_s
 
-    def advise_full_many(self, codes):
+    def advise_v1(self, requests):
         time.sleep(self.delay_s)
-        return self.inner.advise_full_many(codes)
+        return self.inner.advise_v1(requests)
 
     def stats(self):
         return self.inner.stats()
@@ -287,10 +280,7 @@ def test_serving_throughput(benchmark):
                                        max_len)
     shard_sweep = {}
     for n_shards in SHARD_COUNTS:
-        # explicit ipc="shm": the sweep tracks the shipped default, and a
-        # future default flip must not silently change what it measures
-        with ShardedEngine(engine_factory, n_shards=n_shards,
-                           ipc="shm") as sharded:
+        with ShardedEngine(engine_factory, n_shards=n_shards) as sharded:
             _, cold = timed(sharded.predict_proba, trace)
             _, warm = timed(sharded.predict_proba, trace)
             stats = sharded.stats()
@@ -306,82 +296,46 @@ def test_serving_throughput(benchmark):
             "batch_size_hist": combined.get("batch_size_hist", {}),
         }
 
-    # -- ipc transport: queue vs shm at pinned fleet sizes -----------------
+    # -- ipc: the worker-queue data plane at pinned fleet sizes -----------
     # the sweep above keeps the default autoscaler, whose 1-shard point is
     # the in-process fallback (no IPC at all).  Here min_shards is pinned
-    # to max_shards so every point pays real cross-process traffic — the
-    # thing the two transports actually differ on.  Reps are interleaved
-    # and medianed because process-spawn noise on the single-core bench
-    # host swamps any single run; the throwaway ring below absorbs the
-    # one-time multiprocessing resource-tracker spawn the first shm
-    # segment of a process pays, so it lands on no transport's clock.
-    warmup_ring = ShmRing(slots=2, slot_words=64)
-    warmup_ring.close()
-    warmup_ring.unlink()
-    ipc_trace = trace * 2  # 1024 requests: the parity trace
-    ipc_runs = {t: {n: {"cold": [], "warm": []} for n in SHARD_COUNTS}
-                for t in ("queue", "shm")}
-    ipc_probs = {t: {} for t in ("queue", "shm")}
-    for rep in range(IPC_REPS):
+    # to max_shards so every point pays real cross-process traffic.  Reps
+    # are interleaved across fleet sizes and medianed because
+    # process-spawn noise swamps any single run.
+    ipc_trace = trace * 2  # 1024 requests
+    ipc_runs = {n: {"cold": [], "warm": []} for n in SHARD_COUNTS}
+    for _ in range(IPC_REPS):
         for n_shards in SHARD_COUNTS:
-            for transport in ("queue", "shm"):
-                pinned = AutoscaleConfig(min_shards=n_shards,
-                                         max_shards=n_shards)
-                with ShardedEngine(engine_factory, n_shards=n_shards,
-                                   autoscale=pinned, ipc=transport) as fleet:
-                    got, cold = timed(fleet.predict_proba, ipc_trace)
-                    warms = []
-                    for _ in range(IPC_WARM_PASSES):
-                        _, warm_pass = timed(fleet.predict_proba, ipc_trace)
-                        warms.append(warm_pass)
-                ipc_runs[transport][n_shards]["cold"].append(cold)
-                ipc_runs[transport][n_shards]["warm"].append(min(warms))
-                if rep == 0:
-                    ipc_probs[transport][n_shards] = np.asarray(got)
+            pinned = AutoscaleConfig(min_shards=n_shards,
+                                     max_shards=n_shards)
+            with ShardedEngine(engine_factory, n_shards=n_shards,
+                               autoscale=pinned) as fleet:
+                _, cold = timed(fleet.predict_proba, ipc_trace)
+                warms = [timed(fleet.predict_proba, ipc_trace)[1]
+                         for _ in range(IPC_WARM_PASSES)]
+            ipc_runs[n_shards]["cold"].append(cold)
+            ipc_runs[n_shards]["warm"].append(min(warms))
 
-    # parity: both transports must return *bit-identical* verdicts — the
-    # ring frames round-trip float64 exactly, so anything short of == is
-    # a transport bug, not tolerance noise
-    ipc_parity_mismatches = 0
-    for n_shards in SHARD_COUNTS:
-        q = ipc_probs["queue"][n_shards]
-        s = ipc_probs["shm"][n_shards]
-        if q.shape != s.shape:
-            ipc_parity_mismatches += len(ipc_trace)
-        else:
-            ipc_parity_mismatches += int(np.count_nonzero(
-                ~np.all(q == s, axis=-1)))
+    def _ipc_tput(n_shards, kind="cold"):
+        return len(ipc_trace) / statistics.median(ipc_runs[n_shards][kind])
 
-    def _ipc_tput(transport, n_shards, kind="cold"):
-        runs = ipc_runs[transport][n_shards][kind]
-        return len(ipc_trace) / statistics.median(runs)
-
-    shm_best = max(_ipc_tput("shm", n) for n in SHARD_COUNTS)
-    ipc_crossover = min(
-        n for n in SHARD_COUNTS
-        if _ipc_tput("shm", n) >= IPC_CROSSOVER_TOL * shm_best)
+    ipc_best = max(_ipc_tput(n) for n in SHARD_COUNTS)
     ipc_transport = {
+        "transport": "queue",
         "trace_requests": len(ipc_trace),
         "reps": IPC_REPS,
         "pinned_autoscale": True,
-        **{t: {str(n): {
-                "snippets_per_s": round(_ipc_tput(t, n), 1),
-                "warm_snippets_per_s": round(_ipc_tput(t, n, "warm"), 1),
-            } for n in SHARD_COUNTS}
-           for t in ("queue", "shm")},
-        "shm_vs_queue_2shards": round(
-            _ipc_tput("shm", 2) / _ipc_tput("queue", 2), 3),
-        "shm_warm_vs_queue_2shards": round(
-            _ipc_tput("shm", 2, "warm") / _ipc_tput("queue", 2, "warm"), 3),
-        # the sharding tax: pinned 2-shard vs pinned 1-shard on the shm
-        # transport.  The PR 2 queue sweep lost >30% here to re-pickling;
-        # the rings must keep it within noise of flat on one core (and
-        # above 1.0 wherever a second real core exists)
-        "shm_2shard_scaling": round(
-            _ipc_tput("shm", 2) / _ipc_tput("shm", 1), 3),
+        "queue": {str(n): {
+            "snippets_per_s": round(_ipc_tput(n), 1),
+            "warm_snippets_per_s": round(_ipc_tput(n, "warm"), 1),
+        } for n in SHARD_COUNTS},
+        # the sharding tax: pinned 2-shard vs pinned 1-shard throughput
+        "queue_2shard_scaling": round(_ipc_tput(2) / _ipc_tput(1), 3),
         "crossover_tolerance": IPC_CROSSOVER_TOL,
-        "crossover_shards": ipc_crossover,
-        "parity_mismatches": ipc_parity_mismatches,
+        # smallest fleet within the noise tolerance of the best one
+        "crossover_shards": min(
+            n for n in SHARD_COUNTS
+            if _ipc_tput(n) >= IPC_CROSSOVER_TOL * ipc_best),
     }
 
     # -- eviction pressure: undersized LRU on the same trace ---------------
@@ -861,10 +815,8 @@ def test_serving_throughput(benchmark):
     print(f"\nengine on trace: {trace_throughput:.0f} snippets/s "
           f"({speedup:.1f}x sequential; distinct-cold {distinct_speedup:.2f}x); "
           f"shard sweep: {sweep_txt}; "
-          f"ipc shm/queue @2sh {ipc_transport['shm_vs_queue_2shards']:.2f} "
-          f"(scaling {ipc_transport['shm_2shard_scaling']:.2f}, crossover "
-          f"{ipc_transport['crossover_shards']}sh, "
-          f"{ipc_transport['parity_mismatches']} parity mismatches); "
+          f"ipc 2sh/1sh scaling {ipc_transport['queue_2shard_scaling']:.2f} "
+          f"(crossover {ipc_transport['crossover_shards']}sh); "
           f"gating -{clause_gating['clause_request_reduction']:.0%} clause "
           f"requests on a {negative_frac:.0%}-negative trace; reload under "
           f"load {reload_under_load['reload_s'] * 1e3:.0f}ms with "
@@ -893,13 +845,10 @@ def test_serving_throughput(benchmark):
     assert distinct_speedup >= 0.3, "batching pathologically slower than sequential"
     assert engine.stats.cache_hits >= len(trace)  # warm pass served from LRU
     assert set(shard_sweep) == {str(n) for n in SHARD_COUNTS}
-    # ipc transports: verdicts bit-identical, shm not pathologically behind
-    # the queue baseline, and the 2-shard sharding tax within noise of flat
-    # (the committed report is gated tighter by scripts/bench_gate.py; the
-    # in-run floors only catch collapses, not single-run spawn noise)
-    assert ipc_transport["parity_mismatches"] == 0, "queue/shm verdict drift"
-    assert ipc_transport["shm_vs_queue_2shards"] >= 0.4
-    assert ipc_transport["shm_2shard_scaling"] >= 0.5
+    # ipc: the 2-shard sharding tax within noise of flat (the committed
+    # report is gated tighter by scripts/bench_gate.py; the in-run floor
+    # only catches collapses, not single-run spawn noise)
+    assert ipc_transport["queue_2shard_scaling"] >= 0.5
     assert eviction_pressure["evictions"] > 0, "pressure pass must evict"
     # clause gating: fewer clause-head requests AND batches on the
     # majority-negative trace, with zero verdict drift on fanned snippets

@@ -102,18 +102,11 @@ GATES: List[Gate] = [
     # the overload actually shed (429) rather than queueing into a hang
     Gate("serving", "fault_injection.admission.unanswered", "==", 0),
     Gate("serving", "fault_injection.admission.shed_429", ">=", 1),
-    # zero-copy ipc (pinned fleets, so every point pays real IPC): the
-    # two transports must return bit-identical verdicts; the shm rings
-    # must stay within a bounded factor of the queue baseline at 2 shards
-    # (on the single-core bench host the pickling queue's feeder-thread
-    # pipelining keeps it near parity — shm pulls ahead only where a
-    # second core exists, so >= 1.0 is not gateable there); and the
-    # sharding *tax* must be gone — pinned 2-shard throughput within 20%
-    # of pinned 1-shard, where the PR 2 queue sweep lost >30% to
-    # re-pickling — with the measured crossover point at most 2 shards
-    Gate("serving", "ipc.parity_mismatches", "==", 0),
-    Gate("serving", "ipc.shm_vs_queue_2shards", ">=", 0.7),
-    Gate("serving", "ipc.shm_2shard_scaling", ">=", 0.8),
+    # ipc over the worker queues (pinned fleets, so every point pays real
+    # IPC): the sharding *tax* must stay bounded — pinned 2-shard
+    # throughput within 20% of pinned 1-shard — with the measured
+    # crossover point at most 2 shards
+    Gate("serving", "ipc.queue_2shard_scaling", ">=", 0.8),
     Gate("serving", "ipc.crossover_shards", "<=", 2),
     # dirty trace: hostile input never crashes or stalls the serving
     # path — zero exceptions escape the engine, every snippet answered,
@@ -164,7 +157,6 @@ REPORT_ONLY: List[Tuple[str, str]] = [
     ("serving", "fault_injection.recovery_s"),
     ("serving", "fault_injection.round_latency.p99_ms"),
     ("serving", "ipc.queue.2.snippets_per_s"),
-    ("serving", "ipc.shm.2.snippets_per_s"),
     ("serving", "dirty_trace.snippets_per_s"),
     ("serving", "weight_sharing.reload_s"),
     ("serving", "weight_sharing.fleet.1.cold_start_s"),

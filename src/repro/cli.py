@@ -224,7 +224,6 @@ def _make_full_advisor(args: argparse.Namespace):
             return ShardedEngine(factory, n_shards=shards,
                                  autoscale=autoscale,
                                  supervisor=_supervisor_config(args),
-                                 ipc=getattr(args, "ipc", "shm"),
                                  share_weights=share,
                                  shared_weights=shared)
         except BaseException:
@@ -321,8 +320,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                               enc.vocab, ctx.scale.pragformer.max_len,
                               _engine_config(args)),
             n_shards=args.shards, autoscale=autoscale,
-            supervisor=_supervisor_config(args),
-            ipc=getattr(args, "ipc", "shm"))
+            supervisor=_supervisor_config(args))
     else:
         _, engine = _make_engine(args)
 
@@ -460,12 +458,6 @@ def main(argv=None) -> int:
     p_serve.add_argument("--shards", type=int, default=1, metavar="N",
                          help="partition traffic across N worker processes "
                               "(digest-hash routing; 1 = in-process)")
-    p_serve.add_argument("--ipc", choices=("queue", "shm"), default="shm",
-                         help="sharded-fleet data-plane transport: 'shm' "
-                              "(default) sends serving batches over "
-                              "shared-memory rings as pre-encoded token "
-                              "ids; 'queue' pins everything to pickled "
-                              "multiprocessing queues (escape hatch)")
     p_serve.add_argument("--min-shards", type=int, default=None, metavar="N",
                          help="lower bound for queue-depth shard autoscaling "
                               "(giving --min-shards or --max-shards enables it)")

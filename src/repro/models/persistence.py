@@ -35,6 +35,7 @@ import hashlib
 import itertools
 import json
 import os
+import threading
 from dataclasses import asdict
 from multiprocessing import resource_tracker, shared_memory
 from pathlib import Path
@@ -56,10 +57,11 @@ _ADVISOR_FORMAT_VERSION = 1
 _WEIGHTS_BLOB = "weights.bin"
 
 #: ``/dev/shm`` name prefix for shared weight segments — audited for leaks
-#: by ``tests/conftest.py`` alongside the ring and DDP prefixes.
+#: by ``tests/conftest.py`` alongside the DDP prefix.
 WEIGHTS_NAME_PREFIX = "repro-weights"
 
 _segment_ids = itertools.count()
+_attach_lock = threading.Lock()   # serializes the pre-3.13 tracker bypass
 
 
 def _segment_name() -> str:
@@ -68,20 +70,32 @@ def _segment_name() -> str:
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without re-registering it.
+    """Attach to an existing segment without touching the resource tracker.
 
     ``SharedMemory.__init__`` registers every attach with the resource
-    tracker (until 3.13's ``track=False``), which makes the *attaching*
-    process unlink the segment at exit and spam leak warnings.  The
-    process that created the segment owns its lifetime; attachers must
-    unregister (same idiom as ``repro.serve.shm_ring``).
+    tracker (until 3.13's ``track=False``).  Forked workers share their
+    parent's tracker, so an attacher that registered and then
+    unregistered would drop the *creator's* registration: the creator's
+    later unlink then makes the tracker raise ``KeyError``, and a
+    creator killed before it unlinks leaks the segment.  The creator
+    owns the segment's lifetime; attachers stay out of the tracker.
     """
-    shm = shared_memory.SharedMemory(name=name)
     try:
-        resource_tracker.unregister(shm._name, "shared_memory")  # noqa: SLF001
-    except Exception:  # noqa: BLE001 — tracker absent on some platforms
+        return shared_memory.SharedMemory(name=name, track=False)
+    except TypeError:  # before 3.13: skip this one registration by hand
         pass
-    return shm
+    register = resource_tracker.register
+
+    def register_others(rname: str, rtype: str) -> None:
+        if rname.lstrip("/") != name.lstrip("/"):
+            register(rname, rtype)
+
+    with _attach_lock:
+        resource_tracker.register = register_others
+        try:
+            return shared_memory.SharedMemory(name=name)
+        finally:
+            resource_tracker.register = register
 
 
 def validate_head_name(name: str) -> str:

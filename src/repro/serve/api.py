@@ -1,15 +1,13 @@
 """The v1 advice API: one request/response pair for every advice surface.
 
-Serving grew five overlapping entry points (``advise`` / ``advise_full`` /
-``advise_many`` / ``advise_full_many`` / the ``*_encoded`` twins), each
-returning a slightly different shape and none carrying the operational
-context a caller actually wants — which model version answered, whether
-the canary arm served the request, whether lexing needed error recovery.
-The v1 surface collapses them behind one dataclass pair:
+Serving grew four overlapping entry points (``advise`` / ``advise_full``
+/ ``advise_many`` / ``advise_full_many``), each returning a slightly
+different shape and none carrying the operational context a caller
+actually wants — which model version answered, whether the canary arm
+served the request, whether lexing needed error recovery.  The v1 surface collapses them behind one dataclass pair:
 
-- :class:`AdviceRequest` — a snippet in (source text, or a pre-encoded
-  token-id row plus its source digest), with an optional caller
-  correlation ``id``.
+- :class:`AdviceRequest` — a snippet's source text in, with an optional
+  caller correlation ``id``.
 - :class:`AdviceResult` — verdict + per-clause advice out, with
   ``degraded`` / ``recovered`` / ``model_version`` / ``arm`` as
   first-class fields instead of side channels.
@@ -41,26 +39,17 @@ SCHEMA_VERSION = 1
 class AdviceRequest:
     """One snippet submitted for advice.
 
-    Exactly one input form must be provided: ``code`` (source text — the
-    normal path, the engine lexes and encodes it) or ``ids`` + ``digest``
-    (a pre-encoded token-id row and the source digest it was derived
-    from, for callers that already ran the codec, e.g. the shared-memory
-    router).  ``id`` is an opaque caller correlation tag echoed back on
-    the matching :class:`AdviceResult`.
+    ``code`` is the snippet's source text (the engine lexes and encodes
+    it); ``id`` is an opaque caller correlation tag echoed back on the
+    matching :class:`AdviceResult`.
     """
 
     code: Optional[str] = None
-    ids: Optional[object] = None     # np.ndarray row; object to stay dep-free
-    digest: Optional[bytes] = None
     id: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if (self.code is None) == (self.ids is None):
-            raise ValueError(
-                "AdviceRequest needs exactly one of code= or ids=")
-        if self.ids is not None and self.digest is None:
-            raise ValueError(
-                "AdviceRequest with ids= needs the source digest= too")
+        if not isinstance(self.code, str):
+            raise ValueError("AdviceRequest needs code= (the snippet text)")
 
     @classmethod
     def of(cls, request) -> "AdviceRequest":

@@ -2,7 +2,7 @@
 
 Built on stdlib :mod:`http.server` (``ThreadingHTTPServer``) so the repo
 stays free of web-framework dependencies.  The server fronts any *advisor*
-object exposing ``advise_full_many(codes)`` and ``stats()`` — in practice a
+object exposing ``advise_v1(requests)`` and ``stats()`` — in practice a
 :class:`~repro.serve.registry.MultiModelEngine` or a
 :class:`~repro.serve.sharding.ShardedEngine` wrapping one per worker.
 
@@ -77,6 +77,8 @@ import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
+
+from repro.serve.api import AdviceRequest
 
 __all__ = ["AdmissionConfig", "AdvisorHTTPServer", "make_server",
            "serve_forever"]
@@ -400,30 +402,28 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
                 return
             self.server.bump("advise")
             try:
-                if v1:
-                    advice = _advise_v1(self.server.advisor, [code],
-                                        [payload.get("id")])[0]
+                # the legacy path prefers async micro-batching: concurrent
+                # handler threads enqueue on the per-head submit() queues
+                # and their snippets coalesce into shared forward passes,
+                # instead of each request running its own batch-of-1
+                # (advisors without the async surface, e.g.
+                # ShardedEngine, answer through advise_v1)
+                advise_async = getattr(self.server.advisor,
+                                       "advise_full_async", None)
+                if v1 or advise_async is None:
+                    body = _advise_v1(self.server.advisor, [code],
+                                      [payload.get("id")])[0].as_dict()
+                    if not v1:  # the legacy shape lacks the v1 fields
+                        for key in _V1_ONLY_KEYS:
+                            body.pop(key, None)
                 else:
-                    # the legacy path prefers async micro-batching:
-                    # concurrent handler threads enqueue on the per-head
-                    # submit() queues and their snippets coalesce into
-                    # shared forward passes, instead of each request
-                    # running its own batch-of-1 (advisors without the
-                    # async surface, e.g. ShardedEngine, fall back to the
-                    # bulk call)
-                    advise_async = getattr(self.server.advisor,
-                                           "advise_full_async", None)
-                    if advise_async is not None:
-                        advice = advise_async(code)
-                    else:
-                        advice = self.server.advisor.advise_full_many(
-                            [code])[0]
+                    body = advise_async(code).as_dict()
             except Exception as exc:  # noqa: BLE001 — report, don't die
                 self.server.record_outcome(False)
                 self._error(500, f"inference failed: {exc}")
                 return
             self.server.record_outcome(True)
-            self._send_json(200, advice.as_dict())
+            self._send_json(200, body)
         finally:
             self.server.release()
 
@@ -617,27 +617,14 @@ def _strip_v1(path: str) -> str:
     return path
 
 
-def _advise_v1(advisor, codes: List[str], ids: List) -> List:
-    """v1 results from any advisor: its own ``advise_v1`` when it has one
-    (:class:`~repro.serve.registry.MultiModelEngine` and
-    :class:`~repro.serve.sharding.ShardedEngine` both do), else legacy
-    ``advise_full_many`` wrapped into :class:`~repro.serve.api.AdviceResult`
-    with default operational context — the HTTP surface answers the v1
-    schema even for bare-bones advisors."""
-    from repro.serve.api import AdviceRequest, AdviceResult
+#: ``AdviceResult.as_dict`` keys the legacy ``POST /advise`` body lacks.
+_V1_ONLY_KEYS = ("recovered", "model_version", "arm", "id")
 
-    advise_v1 = getattr(advisor, "advise_v1", None)
-    if advise_v1 is not None:
-        return advise_v1([AdviceRequest(code=code, id=rid)
-                          for code, rid in zip(codes, ids)])
-    fulls = advisor.advise_full_many(codes)
-    version = str(getattr(advisor, "model_version", "0"))
-    # duck-typed advisors (embedder stubs) may return bare objects with
-    # just as_dict(); pass those through in their legacy shape rather
-    # than 500 on the missing operational context
-    return [AdviceResult.from_full(full, model_version=version, id=rid)
-            if hasattr(full, "directive") else full
-            for full, rid in zip(fulls, ids)]
+
+def _advise_v1(advisor, codes: List[str], ids: List) -> List:
+    """v1 results for ``codes`` from the advisor, tagged with ``ids``."""
+    return advisor.advise_v1([AdviceRequest(code=code, id=rid)
+                              for code, rid in zip(codes, ids)])
 
 
 def make_server(advisor, host: str = "127.0.0.1", port: int = 0,

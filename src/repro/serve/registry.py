@@ -58,8 +58,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.models.pragformer import PragFormer
 from repro.serve.api import AdviceRequest, AdviceResult
 from repro.serve.engine import (
@@ -70,7 +68,7 @@ from repro.serve.engine import (
     source_digest,
 )
 from repro.serve.metrics import ArmStats, merge_engine_stats
-from repro.tokenize import Vocab, robust_text_tokens, text_tokens
+from repro.tokenize import Vocab, robust_text_tokens
 
 __all__ = [
     "DEFAULT_CLAUSES",
@@ -83,7 +81,6 @@ __all__ = [
     "ModelRegistry",
     "MultiModelEngine",
     "canary_routes",
-    "canary_routes_digest",
     "checkpoint_mtime",
 ]
 
@@ -297,17 +294,6 @@ class _SharedLexMemo:
         return tokens
 
 
-def canary_routes_digest(digest: bytes, fraction: float) -> bool:
-    """:func:`canary_routes` over an already-computed 16-byte digest.
-
-    The shared-memory transport (:mod:`repro.serve.shm_ring`) ships each
-    snippet's :func:`~repro.serve.engine.source_digest` instead of its
-    source text, so workers route canary traffic from the digest alone —
-    this is the one arm-assignment rule both forms must agree on.
-    """
-    return int.from_bytes(digest, "big") % 100 < round(fraction * 100)
-
-
 def canary_routes(code: str, fraction: float) -> bool:
     """Deterministic canary-arm assignment for one snippet.
 
@@ -324,7 +310,8 @@ def canary_routes(code: str, fraction: float) -> bool:
     on shards 0-4).  ``fraction`` is quantized to whole percent —
     ``start_canary`` rejects fractions that would quantize to zero.
     """
-    return canary_routes_digest(source_digest(code, size=16), fraction)
+    digest = source_digest(code, size=16)
+    return int.from_bytes(digest, "big") % 100 < round(fraction * 100)
 
 
 @dataclass(frozen=True)
@@ -503,10 +490,6 @@ class MultiModelEngine:
         self.fanned_snippets = 0   # snippets that did reach the clause heads
         self._canary: Optional[_CanaryState] = None
         self._last_canary: Optional[Dict[str, object]] = None
-        # vocabulary remap tables for the pre-encoded (shared-memory) path:
-        # (id(src_vocab), id(dst_vocab)) -> int32 id translation table
-        self._remap_lock = threading.Lock()
-        self._remap_tables: Dict[Tuple[int, int], np.ndarray] = {}
         # shared-weights attachments this engine's models are bound onto
         # (``reload(segment=)`` / ``start_canary(segment=)``); mappings are
         # closed at engine close, unlink stays with the segment's creator
@@ -539,90 +522,6 @@ class MultiModelEngine:
            the directive core it delegates to), richer results.
         """
         return self.directive_engine.advise_many(codes)
-
-    # -- pre-encoded (shared-memory transport) paths ------------------------
-
-    def codec(self) -> Optional[dict]:
-        """Describe how to encode snippets for this fleet, or ``None``.
-
-        Same contract as :meth:`InferenceEngine.codec`, from the
-        directive head's engine (the transport vocabulary): the router
-        encodes every snippet once under this codec and ships int32 id
-        rows; clause and canary heads whose vocabularies differ are fed
-        through per-head remap tables worker-side.  ``heads`` carries the
-        fleet's head-name order — the index space clause verdicts use on
-        the wire.  ``tokenizer`` names which known lexer the router must
-        replicate and ``max_snippet_bytes`` ships the byte cap (see
-        :meth:`InferenceEngine.codec`).  ``None`` when a custom tokenizer
-        makes router-side encoding impossible (the fleet then stays on
-        the queue transport).
-        """
-        if self.lex_memo._tokenize is robust_text_tokens:
-            tokenizer_name = "resilient"
-        elif self.lex_memo._tokenize is text_tokens:
-            tokenizer_name = "strict"
-        else:
-            return None
-        engine = self.directive_engine
-        return {"version": self.model_version, "max_len": engine.max_len,
-                "vocab": engine.vocab, "heads": self.head_names(),
-                "tokenizer": tokenizer_name,
-                "max_snippet_bytes": self.config.max_snippet_bytes}
-
-    def predict_proba_encoded(self, rows: Sequence[np.ndarray]) -> np.ndarray:
-        """Directive-head probabilities for pre-encoded token-id rows."""
-        return self.directive_engine.predict_proba_encoded(rows)
-
-    def advise_many_encoded(self, rows: Sequence[np.ndarray]) -> List[Advice]:
-        """Directive-only advice for pre-encoded token-id rows.
-
-        .. deprecated:: external callers should use :meth:`advise_v1`
-           with ``ids=``/``digest=`` requests; this remains as the
-           transport-internal directive core.
-        """
-        return self.directive_engine.advise_many_encoded(rows)
-
-    def _remap_table(self, src: Vocab, dst: Vocab) -> np.ndarray:
-        """Id-translation table from ``src`` into ``dst`` (memoized).
-
-        ``table[src_id] = dst.token_to_id(src.id_to_token(src_id))`` —
-        specials map to themselves (every :class:`~repro.tokenize.Vocab`
-        pins them to ids 0-3) and tokens absent from ``dst`` map to its
-        UNK, matching what ``dst`` would produce from the text itself for
-        every token the transport vocabulary knows.  (A token OOV in the
-        *transport* vocab is already UNK on the wire, so a clause head
-        that privately knows it still sees UNK — the one place the
-        pre-encoded path can differ from re-encoding source text; heads
-        trained on the same corpus share the vocabulary in practice.)"""
-        key = (id(src), id(dst))
-        with self._remap_lock:
-            table = self._remap_tables.get(key)
-        if table is None:
-            table = np.asarray(
-                [dst.token_to_id(src.id_to_token(i)) for i in range(len(src))],
-                dtype=np.int32)
-            with self._remap_lock:
-                if len(self._remap_tables) > 32:
-                    # vocab objects die with their slots; don't pin them
-                    self._remap_tables.clear()
-                self._remap_tables[key] = table
-        return table
-
-    def _rows_for(self, engine: InferenceEngine,
-                  rows: Sequence[np.ndarray]) -> Sequence[np.ndarray]:
-        """Translate transport-encoded rows into ``engine``'s vocabulary.
-
-        Rows arrive encoded under the directive head's codec; a head
-        sharing that vocabulary object (the common case) passes through
-        untouched, otherwise each row is remapped id-by-id and truncated
-        to the head's own ``max_len``."""
-        src = self.directive_engine.vocab
-        dst = engine.vocab
-        if dst is src:
-            return rows
-        table = self._remap_table(src, dst)
-        max_len = engine.max_len
-        return [table[row][:max_len] for row in rows]
 
     # -- combined fan-out path ---------------------------------------------
 
@@ -793,102 +692,6 @@ class MultiModelEngine:
             full.append(FullAdvice(adv, clauses, degraded=adv.degraded))
         return full
 
-    def _fan_out_encoded(self, engines: Dict[str, InferenceEngine],
-                         rows: Sequence[np.ndarray]) -> List[FullAdvice]:
-        """Bulk fan-out of pre-encoded rows through one arm's ``engines``
-        — the encoded twin of :meth:`_fan_out` (same gating rule, same
-        assembly), with rows translated per head via :meth:`_rows_for`."""
-        directive = engines[DIRECTIVE].advise_many_encoded(
-            self._rows_for(engines[DIRECTIVE], rows))
-        fan_idx = [i for i, adv in enumerate(directive)
-                   if self._fans_out(adv.probability)]
-        self._count_gated(len(rows) - len(fan_idx), len(fan_idx))
-        fan_rows = [rows[i] for i in fan_idx]
-        fan_row = {orig: row for row, orig in enumerate(fan_idx)}
-        clause_probs = {
-            name: engine.predict_proba_encoded(
-                self._rows_for(engine, fan_rows))[:, 1]
-            for name, engine in engines.items() if name != DIRECTIVE
-        }
-        full = []
-        for i, adv in enumerate(directive):
-            row = fan_row.get(i)
-            clauses = {} if row is None else {
-                name: self._clause_advice(probs[row])
-                for name, probs in clause_probs.items()
-            }
-            full.append(FullAdvice(adv, clauses, degraded=adv.degraded))
-        return full
-
-    def advise_full_many_encoded(self, rows: Sequence[np.ndarray],
-                                 digests: Sequence[bytes]
-                                 ) -> List[FullAdvice]:
-        """Bulk combined advice for pre-encoded token-id rows.
-
-        The shared-memory transport's ``advise_full_many``: ``rows`` were
-        encoded by the router under this fleet's :meth:`codec` and
-        ``digests`` are the matching 16-byte source digests — the worker
-        never sees source text, so canary routing runs on the digests
-        (:func:`canary_routes_digest`, the identical slice the text path
-        computes) and shadow/agreement accounting works exactly as in
-        :meth:`advise_full_many`.
-
-        .. deprecated:: external callers should use :meth:`advise_v1`;
-           this remains as the shared-memory transport's fan-out core.
-        """
-        if len(digests) != len(rows):
-            raise ValueError("digests must match rows 1:1")
-        rows = [np.ascontiguousarray(row, dtype=np.int32) for row in rows]
-        state = self._canary
-        if state is None:
-            return self._fan_out_encoded(self.engines, rows)
-        return self._advise_full_many_canary_encoded(state, rows, digests)
-
-    def _advise_full_many_canary_encoded(self, state: "_CanaryState",
-                                         rows: Sequence[np.ndarray],
-                                         digests: Sequence[bytes]
-                                         ) -> List[FullAdvice]:
-        """Encoded twin of :meth:`_advise_full_many_canary`: split by
-        digest, serve each arm, merge in request order."""
-        c_rows = [i for i in range(len(rows))
-                  if canary_routes_digest(digests[i], state.fraction)]
-        c_set = set(c_rows)
-        p_rows = [i for i in range(len(rows)) if i not in c_set]
-        out: List[Optional[FullAdvice]] = [None] * len(rows)
-        if p_rows:
-            start = time.perf_counter()
-            try:
-                p_full = self._fan_out_encoded(self.engines,
-                                               [rows[i] for i in p_rows])
-            except Exception:
-                state.note_primary_errors(len(p_rows))
-                raise
-            state.note_primary(len(p_rows), time.perf_counter() - start)
-            for i, full in zip(p_rows, p_full):
-                out[i] = full
-        if c_rows:
-            c_encoded = [rows[i] for i in c_rows]
-            start = time.perf_counter()
-            try:
-                c_full = self._fan_out_encoded(state.engines, c_encoded)
-            except Exception:
-                # same availability rule as the text path: a failing
-                # canary arm is served by the primary and counted
-                self._apply_decision(state.note_canary_errors(len(c_rows)))
-                c_full = self._fan_out_encoded(self.engines, c_encoded)
-                for i, full in zip(c_rows, c_full):
-                    out[i] = full
-                return out
-            elapsed = time.perf_counter() - start
-            shadow = self.directive_engine.advise_many_encoded(c_encoded)
-            agreed = [got.directive.needs_directive == ref.needs_directive
-                      for got, ref in zip(c_full, shadow)]
-            self._apply_decision(
-                state.note_canary(len(c_rows), elapsed, agreed))
-            for i, full in zip(c_rows, c_full):
-                out[i] = full
-        return out
-
     def advise_full_many(self, codes: Sequence[str],
                          directive: Optional[Sequence[Advice]] = None
                          ) -> List[FullAdvice]:
@@ -980,9 +783,7 @@ class MultiModelEngine:
 
         ``requests`` is a sequence of :class:`~repro.serve.api
         .AdviceRequest` (bare strings are accepted and wrapped as
-        ``code``); every request in one call must use the same input
-        form — all source text, or all pre-encoded ``ids``/``digest``
-        rows.  Returns one :class:`~repro.serve.api.AdviceResult` per
+        ``code``).  Returns one :class:`~repro.serve.api.AdviceResult` per
         request, in order: the same verdict/probability/clause values the
         legacy ``advise_full_many`` path computes (it *is* that path
         underneath — gating, canary split, and caches are shared), plus
@@ -994,33 +795,19 @@ class MultiModelEngine:
         reqs = [AdviceRequest.of(r) for r in requests]
         if not reqs:
             return []
-        n_encoded = sum(1 for r in reqs if r.code is None)
-        if n_encoded not in (0, len(reqs)):
-            raise ValueError("advise_v1: one call must not mix code= and "
-                             "ids= requests")
         state = self._canary
-        if n_encoded == 0:
-            codes = [r.code for r in reqs]
-            fulls = self.advise_full_many(codes)
-            routed = [state is not None
-                      and canary_routes(code, state.fraction)
-                      for code in codes]
-        else:
-            rows = [r.ids for r in reqs]
-            digests = [r.digest for r in reqs]
-            fulls = self.advise_full_many_encoded(rows, digests)
-            routed = [state is not None
-                      and canary_routes_digest(digest, state.fraction)
-                      for digest in digests]
-        return [
-            AdviceResult.from_full(
+        fulls = self.advise_full_many([r.code for r in reqs])
+        results = []
+        for req, full in zip(reqs, fulls):
+            canary = (state is not None
+                      and canary_routes(req.code, state.fraction))
+            results.append(AdviceResult.from_full(
                 full,
                 model_version=(state.version if canary
                                else self.model_version),
                 arm="canary" if canary else "primary",
-                id=req.id)
-            for req, full, canary in zip(reqs, fulls, routed)
-        ]
+                id=req.id))
+        return results
 
     # -- hot reload ----------------------------------------------------------
 

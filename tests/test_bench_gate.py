@@ -74,9 +74,7 @@ class TestDoctoredRegressionsFail:
         ("fault_injection.p99_vs_deadline", 20.0),
         ("fault_injection.admission.unanswered", 3),
         ("fault_injection.admission.shed_429", 0),
-        ("ipc.parity_mismatches", 12),
-        ("ipc.shm_vs_queue_2shards", 0.2),
-        ("ipc.shm_2shard_scaling", 0.1),
+        ("ipc.queue_2shard_scaling", 0.1),
         ("ipc.crossover_shards", 4),
         ("weight_sharing.sublinearity_ratio_8", 1.0),   # one copy per shard
         ("weight_sharing.sharing_factor_8", 1.0),       # pages not shared

@@ -103,17 +103,6 @@ class TestModeInvocations:
         assert calls == ["python -m pytest -x -q tests/test_serve_faults.py"]
         assert "check.sh: stage 'chaos-smoke' passed" in result.stdout
 
-    def test_ipc_runs_ring_suite_only(self, shim):
-        env, log = shim
-        result = _run(env, "--ipc")
-        assert result.returncode == 0, result.stderr
-        calls = _calls(log)
-        assert len(calls) == 1
-        assert calls[0].startswith("python -m pytest -x -q "
-                                   "tests/test_serve_ipc.py")
-        assert "tests/test_serve_faults.py::TestRingFaults" in calls[0]
-        assert "check.sh: stage 'ipc-stress' passed" in result.stdout
-
     def test_fuzz_runs_recovery_suite_scaled_up(self, shim):
         env, log = shim
         result = _run(env, "--fuzz")
@@ -189,14 +178,14 @@ class TestCiWorkflowMirrorsCheckScript:
 
     def test_workflow_exists_and_names_all_jobs(self, workflow):
         for job in ("tier1:", "perf-smoke:", "docs:", "lint:",
-                    "chaos-smoke:", "ipc-stress:", "fuzz-smoke:",
+                    "chaos-smoke:", "fuzz-smoke:",
                     "ddp-smoke:", "shm-weights:", "bench-gate:"):
             assert job in workflow, f"ci.yml missing job {job}"
 
     def test_workflow_invokes_check_sh_modes(self, workflow):
         for mode in ("scripts/check.sh --fast", "scripts/check.sh --perf",
                      "scripts/check.sh --docs", "scripts/check.sh --lint",
-                     "scripts/check.sh --chaos", "scripts/check.sh --ipc",
+                     "scripts/check.sh --chaos",
                      "scripts/check.sh --fuzz", "scripts/check.sh --ddp",
                      "scripts/check.sh --shm-weights"):
             assert mode in workflow, f"ci.yml does not run {mode}"
@@ -215,7 +204,7 @@ class TestCiWorkflowMirrorsCheckScript:
         """check.sh's own usage header must list the modes CI invokes."""
         script = CHECK_SH.read_text()
         for mode in ("--fast", "--docs", "--lint", "--perf", "--chaos",
-                     "--ipc", "--fuzz", "--ddp", "--shm-weights"):
+                     "--fuzz", "--ddp", "--shm-weights"):
             assert mode in script
         assert "ruff check" in script
         assert "lint_fallback.py" in script

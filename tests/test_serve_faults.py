@@ -23,6 +23,7 @@ from repro.models import PragFormer
 from repro.models.pragformer import PragFormerConfig
 from repro.serve import (
     AdmissionConfig,
+    AdviceResult,
     AutoscaleConfig,
     ChaosConfig,
     CheckpointWatcher,
@@ -329,79 +330,6 @@ class TestLifecycleUnderFaults:
             assert sharded.n_shards == 1  # retired slot stays retired
 
 
-class TestRingFaults:
-    """The PR-6 fault contract replayed on the shared-memory data plane:
-    torn frames, a worker dying while it holds a ring slot, and a full
-    ring backed up behind a wedged worker must all end in the degraded-
-    answer path (real retry > in-process fallback > neutral verdict) —
-    never a hang, never a garbage verdict, never a leaked segment (the
-    ``no_ring_leaks`` fixture re-checks after each test)."""
-
-    def test_torn_ring_frame_is_detected_and_retried(self, factory):
-        """Chaos ``malformed`` on the rings commits a frame with a bad
-        CRC — a torn write.  The parent must detect it by checksum,
-        count a fault, and retry elsewhere; the writer stays healthy."""
-        code = code_on_shard(0, 2)
-        expected = factory().advise_many([code])[0]
-        chaos = ChaosConfig(malformed_at=(0,), slots=(0,))
-        with ShardedEngine(factory, n_shards=2, chaos=chaos, ipc="shm",
-                           supervisor=SupervisorConfig(**FAST)) as sharded:
-            got = sharded.advise_many([code])[0]
-            assert not got.degraded
-            assert got.probability == pytest.approx(expected.probability,
-                                                    abs=1e-5)
-            stats = sharded.stats()
-            assert stats["ipc"]["active"] == "shm"
-            assert stats["ipc"]["ring_sends"] >= 1
-            assert stats["supervisor"]["faults"] >= 1
-            assert sharded._workers[0].is_alive()  # torn write != dead
-
-    def test_worker_killed_holding_a_ring_slot(self, factory):
-        """The kill fires after the worker consumed the request frame
-        and before any reply commit.  The retry answers for real, and
-        the respawned slot gets *fresh* rings — the dead worker's cursor
-        state is abandoned, never reused."""
-        expected = factory().predict_proba(SNIPPETS)
-        chaos = ChaosConfig(kill_at=(0,), slots=(1,))
-        with ShardedEngine(factory, n_shards=4, chaos=chaos, ipc="shm",
-                           supervisor=SupervisorConfig(**FAST)) as sharded:
-            rings_before = len(sharded._all_rings)
-            got = sharded.predict_proba(SNIPPETS)
-            np.testing.assert_allclose(got, expected, atol=1e-5)
-            assert sharded.stats()["supervisor"]["degraded_answers"] == 0
-            wait_until(lambda: sharded.stats()["supervisor"]["restarts"] >= 1)
-            wait_until(lambda: all(w.is_alive()
-                                   for w in sharded._workers[:4]))
-            assert len(sharded._all_rings) > rings_before  # fresh pair
-            np.testing.assert_allclose(sharded.predict_proba(SNIPPETS),
-                                       expected, atol=1e-5)
-
-    def test_deadline_on_a_full_ring_never_hangs(self, factory):
-        """Every worker wedges on its first serving call; with 1-slot
-        rings the next frames fill the rings for good and later sends
-        must overflow to the queues — and every caller must still be
-        answered within its deadline budget, never hang."""
-        chaos = ChaosConfig(hang_at=(0,), hang_s=3600.0)
-        cfg = SupervisorConfig(**{**FAST, "request_timeout_s": 0.5,
-                                  "heartbeat_interval_s": 0})  # stay wedged
-        start = time.monotonic()
-        with ShardedEngine(factory, n_shards=2, chaos=chaos, ipc="shm",
-                           ring_slots=1,
-                           supervisor=cfg) as sharded:
-            answers = [sharded.advise_many(SNIPPETS) for _ in range(3)]
-            stats = sharded.stats()
-        assert time.monotonic() - start < 30.0  # bounded, not forever
-        for batch in answers:
-            assert len(batch) == len(SNIPPETS)
-            assert all(a is not None for a in batch)
-        # the wedged fleet was served by the in-process fallback (real
-        # advice) and/or neutral degraded verdicts — never silence
-        sup = stats["supervisor"]
-        assert sup["deadline_exceeded"] >= 1
-        assert sup["fallback_answers"] + sup["degraded_answers"] > 0
-        assert stats["ipc"]["ring_overflows"] >= 1
-
-
 class TestWatcherResilience:
     def test_watcher_survives_poll_exceptions(self, tmp_path):
         """A transient unreadable checkpoint dir must log-and-retry, not
@@ -430,10 +358,9 @@ class TestWatcherResilience:
 # -- HTTP admission control -----------------------------------------------
 
 
-class _StubAdvice:
-    def as_dict(self):
-        return {"needs_directive": False, "p_directive": 0.5, "clauses": {},
-                "recommended_clauses": [], "degraded": False}
+def _stub_results(requests):
+    return [AdviceResult(verdict=False, probability=0.5, id=req.id)
+            for req in requests]
 
 
 class _GatedAdvisor:
@@ -443,10 +370,10 @@ class _GatedAdvisor:
         self.release = threading.Event()
         self.entered = threading.Event()
 
-    def advise_full_many(self, codes):
+    def advise_v1(self, requests):
         self.entered.set()
         assert self.release.wait(10)
-        return [_StubAdvice() for _ in codes]
+        return _stub_results(requests)
 
     def stats(self):
         return {}
@@ -456,10 +383,10 @@ class _FlakyAdvisor:
     def __init__(self):
         self.fail = True
 
-    def advise_full_many(self, codes):
+    def advise_v1(self, requests):
         if self.fail:
             raise RuntimeError("fleet rebuilding")
-        return [_StubAdvice() for _ in codes]
+        return _stub_results(requests)
 
     def stats(self):
         return {}

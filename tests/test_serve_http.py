@@ -232,7 +232,7 @@ class TestReloadEndpoint:
         class Plain:
             """Advisor without a reload surface."""
 
-            def advise_full_many(self, codes):
+            def advise_v1(self, requests):
                 raise NotImplementedError
 
             def stats(self):
@@ -504,7 +504,7 @@ class TestCanaryEndpoints:
 
     def test_advisor_without_canary_surface_501(self):
         class Plain:
-            def advise_full_many(self, codes):
+            def advise_v1(self, requests):
                 raise NotImplementedError
 
             def stats(self):

@@ -1,18 +1,30 @@
 """Tests for the multi-process sharded serving engine."""
 
+import functools
+import glob
+import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.models import PragFormer
 from repro.models.pragformer import PragFormerConfig
+from repro.models.persistence import WEIGHTS_NAME_PREFIX
 from repro.serve import (
     Advice,
     AutoscaleConfig,
     EngineConfig,
     InferenceEngine,
+    ModelRegistry,
+    MultiModelEngine,
     RollingMean,
     ShardedEngine,
     SupervisorConfig,
@@ -142,9 +154,7 @@ class TestMultiProcess:
 
         def broken_factory():
             engine = InferenceEngine(model, vocab, max_len=TINY.max_len)
-            # not callable -> worker-side error on either transport
-            engine.predict_proba = None
-            engine.predict_proba_encoded = None
+            engine.predict_proba = None  # not callable -> worker-side error
             return engine
 
         with ShardedEngine(broken_factory, n_shards=2) as sharded:
@@ -393,3 +403,216 @@ class TestAutoscaling:
         with ShardedEngine(factory, n_shards=2) as sharded:
             sharded.predict_proba(SNIPPETS)
             assert "autoscaler" not in sharded.stats()
+
+
+# -- the one data plane: every call rides the worker queues --------------------
+
+HEAD_NAMES = ("directive", "private", "reduction")
+
+#: lexes only through error recovery (stray ``@#$`` emits ERROR_TOKEN)
+DIRTY = [
+    "for (i = 0; i < n; i++) { a[i] = @#$ b[i]; }",
+    "for (i = 0; i < n; i++) s += a[i] `` ;",
+    "while (k < n) { total += buf[k]; k++; \x01",
+]
+
+#: over the byte cap set below: rejected by the worker engine, degraded
+OVERSIZE = "for (i = 0; i < n; i++) a[i] = b[i];" * 40
+
+
+def _build_multi(path, config=None):
+    """Module-level worker factory (picklable under 'spawn')."""
+    return MultiModelEngine(ModelRegistry.from_checkpoint(path),
+                            config=config)
+
+
+def _save_registry(vocab, path, seed0):
+    registry = ModelRegistry()
+    for k, name in enumerate(HEAD_NAMES):
+        registry.register(name,
+                          PragFormer(len(vocab), replace(TINY, seed=seed0 + k),
+                                     rng=seed0 + k),
+                          vocab, max_len=TINY.max_len)
+    registry.save(path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def checkpoints(model_and_vocab, tmp_path_factory):
+    _, vocab = model_and_vocab
+    root = tmp_path_factory.mktemp("fleet")
+    return (_save_registry(vocab, root / "ckpt_a", 0),
+            _save_registry(vocab, root / "ckpt_b", 80))
+
+
+class TestQueueDataPlane:
+    def test_multi_producer_stress_no_lost_dup_or_corrupt(self, factory):
+        """4 producer threads x 4 shards x 2000 total requests: every
+        reply present, in order, and matching the reference engine."""
+        trace = [f"for (i = 0; i < n; i++) a[i] = b[i] * {k} + c[i % {k + 2}];"
+                 for k in range(100)]
+        expected = factory().predict_proba(trace)
+        errors = []
+        with ShardedEngine(factory, n_shards=4) as sharded:
+            def producer():
+                try:
+                    for _ in range(5):  # 5 x 100 snippets per producer
+                        got = sharded.predict_proba(trace)
+                        assert got.shape == expected.shape
+                        np.testing.assert_allclose(got, expected, atol=1e-5)
+                except Exception as exc:  # noqa: BLE001 — assert below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=producer) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            stats = sharded.stats()
+        assert not errors, errors
+        assert stats["supervisor"]["degraded_answers"] == 0
+        assert sum(stats["routed"]) == 4 * 5 * len(trace)
+        assert stats["ipc"]["active"] == "queue"
+        assert stats["ipc"]["queue_serving_sends"] >= 4 * 5
+        assert stats["ipc"]["ring_sends"] == stats["ipc"]["ring_overflows"] == 0
+
+    def test_reload_is_fifo_with_serving_calls(self, checkpoints):
+        """A reload queued behind serving calls never overtakes them, and
+        every call sent after it is scored on the new weights."""
+        a, b = checkpoints
+        trace = SNIPPETS * 4
+        with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as ref_a:
+            before = ref_a.advise_full_many(trace)
+        with MultiModelEngine(ModelRegistry.from_checkpoint(b)) as ref_b:
+            after = ref_b.advise_full_many(trace)
+        with ShardedEngine(functools.partial(_build_multi, str(a)),
+                           n_shards=2) as sharded:
+            got_before = sharded.advise_full_many(trace)
+            version = sharded.reload(b)
+            got_after = sharded.advise_full_many(trace)
+            assert sharded.stats()["model_version"] == version
+        for got, want in ((got_before, before), (got_after, after)):
+            for g, w in zip(got, want):
+                assert g.directive.probability == w.directive.probability
+                assert g.clauses == w.clauses
+
+    def test_gating_counters_match_in_process_engine(self, checkpoints):
+        """On a clean+dirty trace the fleet's clause-gating counters sum
+        to the in-process engine's: one fan-out, no encoded twin to drift
+        (degraded oversize rows stay out of both counters)."""
+        a, _ = checkpoints
+        config = EngineConfig(gate_margin=0.0, max_snippet_bytes=512)
+        trace = SNIPPETS + DIRTY + [OVERSIZE]
+        with _build_multi(str(a), config) as local:
+            expected = local.advise_full_many(trace)
+            gating = local.stats()["clause_gating"]
+        with ShardedEngine(functools.partial(_build_multi, str(a), config),
+                           n_shards=2) as sharded:
+            got = sharded.advise_full_many(trace)
+            shards = sharded.stats()["shards"]
+        fleet = {key: sum(s["clause_gating"][key] for s in shards)
+                 for key in ("gated_snippets", "fanned_out")}
+        assert (fleet["gated_snippets"] + fleet["fanned_out"]
+                == gating["gated_snippets"] + gating["fanned_out"]
+                == len(trace) - 1)
+        assert fleet == {key: gating[key] for key in fleet}
+        assert got[-1].degraded and expected[-1].degraded
+        for g, e in zip(got, expected):
+            # batch composition differs per shard: float32 rounding only
+            assert g.directive.probability == pytest.approx(
+                e.directive.probability, abs=1e-6)
+            assert g.directive.recovered == e.directive.recovered
+            assert g.clauses.keys() == e.clauses.keys()
+            for name, clause in g.clauses.items():
+                assert clause.probability == pytest.approx(
+                    e.clauses[name].probability, abs=1e-6)
+        assert any(e.directive.recovered for e in expected)
+
+
+# -- fleet process lifetime ------------------------------------------------------
+
+#: Runs a 2-shard shared-weights fleet in its own interpreter: serve,
+#: reload (workers attach the published weight segment), serve again,
+#: then either close cleanly or report its pids/segments and wait to be
+#: killed.
+_FLEET_SCRIPT = """
+import functools, json, sys, time
+from repro.serve import ModelRegistry, MultiModelEngine, ShardedEngine
+
+first, second, mode = sys.argv[1:4]
+registry, shared = ModelRegistry.from_checkpoint(first, share=True)
+fleet = ShardedEngine(functools.partial(MultiModelEngine, registry),
+                      n_shards=2, shared_weights=shared)
+snippets = ["for (i = 0; i < n; i++) s += a[i];",
+            "for (i = 1; i < n; i++) a[i] = a[i-1];"]
+fleet.advise_full_many(snippets)
+fleet.reload(second)
+fleet.advise_full_many(snippets)
+if mode == "close":
+    fleet.close()
+else:
+    print(json.dumps({"workers": [p.pid for p in fleet._workers],
+                      "segments": [w.name for w in fleet._all_weights]}),
+          flush=True)
+    time.sleep(600)
+"""
+
+
+def _fleet_process(checkpoints, mode):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    args = [sys.executable, "-c", _FLEET_SCRIPT,
+            *(str(c) for c in checkpoints), mode]
+    return args, env
+
+
+def _alive(pid):
+    """Whether ``pid`` runs (a zombie awaiting its reaper counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+class TestFleetLifetime:
+    def test_shared_weights_fleet_shuts_down_without_traceback(
+            self, checkpoints):
+        """Workers attach weight segments without touching the resource
+        tracker they share with the parent, so the parent's unlinks at
+        close() raise no tracker ``KeyError`` tracebacks."""
+        args, env = _fleet_process(checkpoints, "close")
+        done = subprocess.run(args, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr, done.stderr
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_workers_exit_when_parent_is_sigkilled(self, checkpoints):
+        """A SIGKILLed server cannot send _STOP: its idle workers notice
+        the parent is gone and exit, and the resource tracker then
+        reclaims every weight segment the dead parent created."""
+        args, env = _fleet_process(checkpoints, "wait")
+        proc = subprocess.Popen(args, env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL, text=True)
+        try:
+            report = json.loads(proc.stdout.readline())
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=10)
+            proc.stdout.close()
+        assert len(report["workers"]) == 2
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            if not any(_alive(pid) for pid in report["workers"]):
+                break
+            time.sleep(0.1)
+        assert not any(_alive(pid) for pid in report["workers"])
+        created = f"/dev/shm/repro-*-{proc.pid}-*"
+        while time.monotonic() < deadline and glob.glob(created):
+            time.sleep(0.1)
+        assert not glob.glob(created)
+        assert all(name.startswith(f"{WEIGHTS_NAME_PREFIX}-{proc.pid}-")
+                   for name in report["segments"])

@@ -6,9 +6,7 @@ Three contracts:
   bit-identically, field by field: the old methods are thin shims now
   and must never drift from ``advise_v1``;
 * **context** — ``model_version`` / ``arm`` / ``recovered`` /
-  ``degraded`` ride first-class on every result (engine, fleet, HTTP),
-  including the shared-memory transport where workers only ever see
-  pre-encoded rows;
+  ``degraded`` ride first-class on every result (engine, fleet, HTTP);
 * **wire** — ``/v1/*`` endpoints serve the new schema,
   ``schema_version`` appears in ``/stats``, and the legacy aliases keep
   answering (the v1 body is a strict superset of the legacy body).
@@ -20,7 +18,6 @@ import urllib.error
 import urllib.request
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.models import PragFormer
@@ -28,13 +25,11 @@ from repro.models.pragformer import PragFormerConfig
 from repro.serve import (
     SCHEMA_VERSION,
     AdviceRequest,
-    AdviceResult,
     ModelRegistry,
     MultiModelEngine,
     ShardedEngine,
     make_server,
 )
-from repro.serve.engine import source_digest
 from repro.tokenize import Vocab, robust_text_tokens, text_tokens
 
 TINY = PragFormerConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32,
@@ -77,15 +72,11 @@ def engine(vocab):
 
 class TestAdviceRequest:
     def test_needs_exactly_one_input_form(self):
-        with pytest.raises(ValueError, match="exactly one"):
+        """Source text is the one input form."""
+        with pytest.raises(ValueError, match="code="):
             AdviceRequest()
-        with pytest.raises(ValueError, match="exactly one"):
-            AdviceRequest(code="x", ids=np.zeros(4, dtype=np.int32),
-                          digest=b"d")
-
-    def test_ids_require_digest(self):
-        with pytest.raises(ValueError, match="digest"):
-            AdviceRequest(ids=np.zeros(4, dtype=np.int32))
+        with pytest.raises(ValueError, match="code="):
+            AdviceRequest(code=b"int x;")
 
     def test_of_coerces_bare_strings(self):
         req = AdviceRequest.of("int x;")
@@ -119,28 +110,9 @@ class TestEngineParity:
             assert engine.advise(code).probability == pytest.approx(
                 res.probability)
 
-    def test_encoded_requests_match_code_requests(self, engine, vocab):
-        rows = [vocab.encode(robust_text_tokens(code), max_len=TINY.max_len)
-                for code in SNIPPETS]
-        digests = [source_digest(code) for code in SNIPPETS]
-        by_code = engine.advise_v1(SNIPPETS)
-        by_ids = engine.advise_v1(
-            [AdviceRequest(ids=row, digest=digest)
-             for row, digest in zip(rows, digests)])
-        for a, b in zip(by_code, by_ids):
-            assert a.probability == pytest.approx(b.probability)
-            assert a.verdict == b.verdict
-
-    def test_mixed_input_forms_rejected(self, engine):
-        row = np.zeros(TINY.max_len, dtype=np.int32)
-        with pytest.raises(ValueError, match="mix"):
-            engine.advise_v1([AdviceRequest(code=SNIPPETS[0]),
-                              AdviceRequest(ids=row, digest=b"d")])
-
     def test_shims_are_marked_deprecated(self):
         for name in ("advise", "advise_many", "advise_full",
-                     "advise_full_many", "advise_many_encoded",
-                     "advise_full_many_encoded"):
+                     "advise_full_many"):
             doc = getattr(MultiModelEngine, name).__doc__
             assert "deprecated" in doc, name
 
@@ -202,9 +174,9 @@ class TestShardedV1:
                 assert res.verdict == full.directive.needs_directive
                 assert res.arm == "primary"
 
-    def test_fleet_recovered_over_shm_transport(self, checkpoints):
-        """Workers on the shm transport only see pre-encoded rows; the
-        router must still stamp ``recovered`` for dirty snippets."""
+    def test_fleet_recovered_from_worker_lexing(self, checkpoints):
+        """Workers lex the source text, so ``recovered`` comes back from
+        them on the result — no router-side bookkeeping."""
         a, _ = checkpoints
         with self._fleet(a) as sharded:
             clean, dirty = sharded.advise_v1([SNIPPETS[0], DIRTY])
@@ -222,14 +194,6 @@ class TestShardedV1:
             for res in sharded.advise_v1(SNIPPETS):
                 assert res.arm == "primary"
                 assert res.model_version == promoted
-
-    def test_fleet_rejects_encoded_requests(self, checkpoints):
-        a, _ = checkpoints
-        with self._fleet(a) as sharded:
-            row = np.zeros(TINY.max_len, dtype=np.int32)
-            with pytest.raises(ValueError, match="encoding"):
-                sharded.advise_v1([AdviceRequest(ids=row, digest=b"d")])
-
 
 def _build_multi(path):
     """Module-level worker factory (picklable under 'spawn')."""
