@@ -152,10 +152,13 @@ def _sequential_advise(model, vocab, codes, max_len):
 
 
 def _shard_worker_engine(model, vocab, max_len):
-    """Worker-side engine builder for the shard sweep (module-level so it
-    pickles under the 'spawn' start method)."""
-    return InferenceEngine(model, vocab, max_len=max_len,
-                           config=EngineConfig(max_batch_size=128))
+    """Worker-side engine builder for the shard sweep: a directive-only
+    :class:`MultiModelEngine` (module-level so it pickles under the
+    'spawn' start method)."""
+    registry = ModelRegistry()
+    registry.register("directive", model, vocab, max_len=max_len)
+    return MultiModelEngine(registry,
+                            config=EngineConfig(max_batch_size=128))
 
 
 def _percentiles(latencies_s):
@@ -281,8 +284,8 @@ def test_serving_throughput(benchmark):
     shard_sweep = {}
     for n_shards in SHARD_COUNTS:
         with ShardedEngine(engine_factory, n_shards=n_shards) as sharded:
-            _, cold = timed(sharded.predict_proba, trace)
-            _, warm = timed(sharded.predict_proba, trace)
+            _, cold = timed(sharded.advise_v1, trace)
+            _, warm = timed(sharded.advise_v1, trace)
             stats = sharded.stats()
         combined = stats["combined"]
         shard_sweep[str(n_shards)] = {
@@ -310,8 +313,8 @@ def test_serving_throughput(benchmark):
                                      max_shards=n_shards)
             with ShardedEngine(engine_factory, n_shards=n_shards,
                                autoscale=pinned) as fleet:
-                _, cold = timed(fleet.predict_proba, ipc_trace)
-                warms = [timed(fleet.predict_proba, ipc_trace)[1]
+                _, cold = timed(fleet.advise_v1, ipc_trace)
+                warms = [timed(fleet.advise_v1, ipc_trace)[1]
                          for _ in range(IPC_WARM_PASSES)]
             ipc_runs[n_shards]["cold"].append(cold)
             ipc_runs[n_shards]["warm"].append(min(warms))
@@ -381,18 +384,18 @@ def test_serving_throughput(benchmark):
     with MultiModelEngine(registry, config=EngineConfig(
             max_batch_size=128)) as ungated_engine:
         ungated_full, ungated_elapsed = timed(
-            ungated_engine.advise_full_many, gating_trace)
+            ungated_engine.advise_v1, gating_trace)
         ungated_stats = ungated_engine.stats()
     with MultiModelEngine(registry, config=EngineConfig(
             max_batch_size=128, gate_margin=GATE_MARGIN)) as gated_engine:
         gated_full, gated_elapsed = timed(
-            gated_engine.advise_full_many, gating_trace)
+            gated_engine.advise_v1, gating_trace)
         gated_stats = gated_engine.stats()
     # parity: directive verdicts always agree; fanned-out snippets carry
     # identical clause probabilities
     gating_mismatches = 0
     for u, g in zip(ungated_full, gated_full):
-        if g.directive != u.directive:
+        if (g.verdict, g.probability) != (u.verdict, u.probability):
             gating_mismatches += 1
         elif g.clauses and any(
                 abs(g.clauses[n].probability - u.clauses[n].probability) > 1e-6
@@ -432,7 +435,7 @@ def test_serving_throughput(benchmark):
         probe = codes[:48]
         live = MultiModelEngine(ModelRegistry.from_checkpoint(ckpt_a),
                                 config=EngineConfig(max_batch_size=128))
-        live.advise_full_many(probe)  # caches populated under version "0"
+        live.advise_v1(probe)  # caches populated under version "0"
         failures: list = []
         # per-thread counters, summed after join — a shared += would lose
         # updates across thread switches and understate the served count
@@ -442,7 +445,7 @@ def test_serving_throughput(benchmark):
         def reload_client(slot):
             while not stop.is_set():
                 try:
-                    served[slot] += len(live.advise_full_many(probe))
+                    served[slot] += len(live.advise_v1(probe))
                 except Exception as exc:  # noqa: BLE001 — counted below
                     failures.append(exc)
                     return
@@ -458,11 +461,11 @@ def test_serving_throughput(benchmark):
         for t in clients:
             t.join(timeout=60)
         with MultiModelEngine(ModelRegistry.from_checkpoint(ckpt_b)) as fresh:
-            expected_new = fresh.advise_full_many(probe)
-        post_swap = live.advise_full_many(probe)
+            expected_new = fresh.advise_v1(probe)
+        post_swap = live.advise_v1(probe)
         stale = sum(
             1 for got, exp in zip(post_swap, expected_new)
-            if abs(got.directive.probability - exp.directive.probability) > 1e-5
+            if abs(got.probability - exp.probability) > 1e-5
             or any(abs(got.clauses[n].probability - exp.clauses[n].probability)
                    > 1e-5 for n in exp.clauses))
         reload_stats = live.stats()
@@ -500,7 +503,7 @@ def test_serving_throughput(benchmark):
         def canary_client(slot):
             while not stop.is_set():
                 try:
-                    served[slot] += len(live.advise_full_many(probe))
+                    served[slot] += len(live.advise_v1(probe))
                 except Exception as exc:  # noqa: BLE001 — counted below
                     failures.append(exc)
                     return
@@ -516,7 +519,7 @@ def test_serving_throughput(benchmark):
         # one foreground pass guarantees completed canary-arm batches are
         # in the counters before the mid-rollout snapshot (the concurrent
         # clients may all be inside the still-cold canary forward)
-        live.advise_full_many(probe)
+        live.advise_v1(probe)
         mid_stats = live.stats()["canary"]
         _, promote_s = timed(live.promote)
         time.sleep(0.2)  # keep serving across the promote boundary
@@ -524,11 +527,11 @@ def test_serving_throughput(benchmark):
         for t in clients:
             t.join(timeout=60)
         with MultiModelEngine(ModelRegistry.from_checkpoint(ckpt_b)) as fresh:
-            expected_new = fresh.advise_full_many(probe)
-        post_promote = live.advise_full_many(probe)
+            expected_new = fresh.advise_v1(probe)
+        post_promote = live.advise_v1(probe)
         canary_stale = sum(
             1 for got, exp in zip(post_promote, expected_new)
-            if abs(got.directive.probability - exp.directive.probability) > 1e-5
+            if abs(got.probability - exp.probability) > 1e-5
             or any(abs(got.clauses[n].probability - exp.clauses[n].probability)
                    > 1e-5 for n in exp.clauses))
         final_stats = live.stats()
@@ -566,7 +569,7 @@ def test_serving_throughput(benchmark):
         def burst_client():
             while not stop.is_set():
                 try:
-                    scaled.predict_proba(trace[:64])
+                    scaled.advise_v1(trace[:64])
                 except Exception as exc:  # noqa: BLE001 — counted below
                     burst_errors.append(exc)
                     return
@@ -585,7 +588,7 @@ def test_serving_throughput(benchmark):
         assert not burst_errors, burst_errors
         idle_start = time.monotonic()
         while scaled.n_shards > 1 and time.monotonic() - idle_start < 30:
-            scaled.predict_proba(trace[:8])
+            scaled.advise_v1(trace[:8])
         shrank_to = scaled.n_shards
         scaler_state = scaled.stats()["autoscaler"]
     autoscale_burst = {
@@ -621,7 +624,7 @@ def test_serving_throughput(benchmark):
         for _ in range(FAULT_ROUNDS):
             round_start = time.perf_counter()
             try:
-                got = faulted.predict_proba(fault_trace)
+                got = faulted.advise_v1(fault_trace)
                 answered += len(got)
                 lost_requests += len(fault_trace) - len(got)
             except Exception:  # noqa: BLE001 — a lost round IS the regression

@@ -47,7 +47,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from conftest import timed, write_bench_report
@@ -111,10 +110,10 @@ def _fleet(path, n_shards, share=True, pinned=False, supervisor=None):
 
 def _verdicts(advisor):
     """(directive prob, sorted clause probs) per probe snippet."""
-    return [(full.directive.probability,
+    return [(full.probability,
              tuple(sorted((name, clause.probability)
                           for name, clause in full.clauses.items())))
-            for full in advisor.advise_full_many(PROBE)]
+            for full in advisor.advise_v1(PROBE)]
 
 
 def _mismatches(got, expected, atol=1e-6):
@@ -166,9 +165,9 @@ def test_weight_sharing(tmp_path):
     for n_shards in SHARD_COUNTS:
         fleet, cold_start_s = timed(_fleet, ckpt_a, n_shards, pinned=True)
         try:
-            fleet.advise_full_many(PROBE)  # workers up and serving
+            fleet.advise_v1(PROBE)  # workers up and serving
             _, reload_s = timed(fleet.reload, ckpt_b)
-            fleet.advise_full_many(PROBE)  # serve from the mapped segment
+            fleet.advise_v1(PROBE)  # serve from the mapped segment
             weights = fleet.stats()["weights"]
             assert weights["mode"] == "shared"
             segment = weights["primary_segment"]

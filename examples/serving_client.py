@@ -3,8 +3,8 @@
 Builds the multi-model advisor (directive + private/reduction clause heads)
 from the small-scale experiment context, then exercises every front door:
 
-1. single and bulk ``advise_full`` calls straight into the engine,
-2. the async queue API (``submit`` -> Future),
+1. single and bulk ``advise_v1`` calls straight into the engine,
+2. the async pipeline (``advise_v1_async``),
 3. the HTTP API on an ephemeral port (/advise, /advise/batch, /healthz),
 4. the ``/stats`` metrics the traffic produced.
 
@@ -43,22 +43,22 @@ registry = ModelRegistry.from_context(get_context(SMALL))
 advisor = MultiModelEngine(registry, config=EngineConfig(max_batch_size=32))
 
 # -- 1. direct engine calls ------------------------------------------------
-print("\n== direct advise_full ==")
-full = advisor.advise_full(LOOPS[1])
+print("\n== direct advise_v1 ==")
+full = advisor.advise_v1([LOOPS[1]])[0]
 print(json.dumps(full.as_dict(), indent=2))
 
-print("\n== bulk advise_full_many over a hot-set trace ==")
-for loop, verdict in zip(LOOPS, advisor.advise_full_many(TRACE)[: len(LOOPS)]):
-    mark = "PARALLEL" if verdict.directive.needs_directive else "serial  "
+print("\n== bulk advise_v1 over a hot-set trace ==")
+for loop, verdict in zip(LOOPS, advisor.advise_v1(TRACE)[: len(LOOPS)]):
+    mark = "PARALLEL" if verdict.verdict else "serial  "
     clauses = ", ".join(verdict.recommended_clauses()) or "-"
-    print(f"  [{mark}] p={verdict.directive.probability:.3f} "
+    print(f"  [{mark}] p={verdict.probability:.3f} "
           f"clauses: {clauses}  | {loop[:48]}")
 
-# -- 2. async queue --------------------------------------------------------
-print("\n== async submit ==")
-futures = [advisor.directive_engine.submit(loop) for loop in LOOPS]
-for loop, future in zip(LOOPS, futures):
-    print(f"  P(directive) = {future.result(timeout=60)[1]:.3f}  | {loop[:48]}")
+# -- 2. async pipeline -----------------------------------------------------
+print("\n== advise_v1_async ==")
+for loop in LOOPS:
+    result = advisor.advise_v1_async(loop, timeout=60)
+    print(f"  P(directive) = {result.probability:.3f}  | {loop[:48]}")
 
 # -- 3. the HTTP front-end -------------------------------------------------
 server = make_server(advisor, port=0)  # ephemeral port

@@ -19,8 +19,10 @@ token-id digest (``--cache-size``, default 4096; 0 disables).
 
 ``serve`` has two front-ends.  The default reads one JSON object per stdin
 line — ``{"id": ..., "code": "..."}``, or a bare path to a C file — and
-writes one JSON directive verdict per line; ``--stats`` dumps engine
-counters to stderr at EOF.  ``--http PORT`` instead loads the directive
+writes one JSON directive verdict per line, served by a directive-only
+:class:`repro.serve.MultiModelEngine` through ``advise_v1``; ``--stats``
+dumps the engine's ``stats()`` to stderr at EOF.  ``--http PORT`` instead
+loads the directive
 *and* ``private``/``reduction`` clause models behind one
 :class:`repro.serve.MultiModelEngine` and serves ``POST /advise``,
 ``POST /advise/batch``, ``POST /reload``, ``GET /healthz``, and
@@ -149,17 +151,12 @@ def _admission_config(args: argparse.Namespace):
     return AdmissionConfig(max_body_bytes=int(max_body))
 
 
-def _make_engine(args: argparse.Namespace):
-    """Directive-only engine (the stdin serving loop's workhorse)."""
-    from repro.pipeline import get_context
-    from repro.serve import InferenceEngine
+def _directive_registry(ctx):
+    """Registry holding only the directive head — the stdin serving loop
+    and ``advise``'s first pass never pay for the clause models."""
+    from repro.serve import ModelRegistry
 
-    ctx = get_context()
-    enc = ctx.encoded()
-    engine = InferenceEngine(ctx.pragformer, enc.vocab,
-                             max_len=ctx.scale.pragformer.max_len,
-                             config=_engine_config(args))
-    return ctx, engine
+    return ModelRegistry.from_context(ctx, clauses=())
 
 
 def _build_multi_engine(registry, config):
@@ -169,13 +166,6 @@ def _build_multi_engine(registry, config):
     from repro.serve import MultiModelEngine
 
     return MultiModelEngine(registry, config=config)
-
-
-def _build_directive_engine(model, vocab, max_len, config):
-    """Worker-side builder for the directive-only sharded stdin loop."""
-    from repro.serve import InferenceEngine
-
-    return InferenceEngine(model, vocab, max_len=max_len, config=config)
 
 
 def _make_full_advisor(args: argparse.Namespace):
@@ -240,28 +230,28 @@ def _make_full_advisor(args: argparse.Namespace):
 
 
 def _cmd_advise(args: argparse.Namespace) -> int:
+    from repro.pipeline import get_context
+    from repro.serve import ModelRegistry, MultiModelEngine
+
     paths = [Path(f) for f in args.files]
     sources = [p.read_text() for p in paths]
     # directive verdicts first: the clause models only need training when a
     # snippet is directive-positive, so the common all-negative invocation
     # never pays for them
-    ctx, engine = _make_engine(args)
-    advice = engine.advise_many(sources)
-    positive = [i for i, a in enumerate(advice) if a.needs_directive]
+    ctx = get_context()
+    config = _engine_config(args)
+    with MultiModelEngine(_directive_registry(ctx), config=config) as engine:
+        advice = engine.advise_v1(sources)
+    positive = [i for i, a in enumerate(advice) if a.verdict]
     full_rows = {}
     if positive:
-        from repro.serve import ModelRegistry, MultiModelEngine
-
         registry = ModelRegistry.from_context(ctx)
-        with MultiModelEngine(registry, config=_engine_config(args)) as advisor:
-            # directive verdicts are already in hand; only clause heads run
-            full = advisor.advise_full_many(
-                [sources[i] for i in positive],
-                directive=[advice[i] for i in positive])
+        with MultiModelEngine(registry, config=config) as advisor:
+            full = advisor.advise_v1([sources[i] for i in positive])
         full_rows = dict(zip(positive, full))
     prefix_paths = args.batch or len(paths) > 1
     for i, (path, a) in enumerate(zip(paths, advice)):
-        verdict = "needs an OpenMP directive" if a.needs_directive else "no directive needed"
+        verdict = "needs an OpenMP directive" if a.verdict else "no directive needed"
         lead = f"{path}: " if prefix_paths else "PragFormer: "
         print(f"{lead}{verdict} (p = {a.probability:.3f})")
         full = full_rows.get(i)
@@ -306,23 +296,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               "directive head only; there are no clause heads to gate)",
               file=sys.stderr)
         return 2
+    import functools
+
+    from repro.pipeline import get_context
+    from repro.serve import ShardedEngine
+
+    factory = functools.partial(_build_multi_engine,
+                                _directive_registry(get_context()),
+                                _engine_config(args))
     autoscale = _autoscale_config(args)
     if args.shards > 1 or autoscale is not None:
-        import functools
-
-        from repro.pipeline import get_context
-        from repro.serve import ShardedEngine
-
-        ctx = get_context()
-        enc = ctx.encoded()
-        engine = ShardedEngine(
-            functools.partial(_build_directive_engine, ctx.pragformer,
-                              enc.vocab, ctx.scale.pragformer.max_len,
-                              _engine_config(args)),
-            n_shards=args.shards, autoscale=autoscale,
-            supervisor=_supervisor_config(args))
+        engine = ShardedEngine(factory, n_shards=args.shards,
+                               autoscale=autoscale,
+                               supervisor=_supervisor_config(args))
     else:
-        _, engine = _make_engine(args)
+        engine = factory()
 
     def requests():
         # one bad request must not kill the serving loop: parse errors are
@@ -350,10 +338,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     def flush():
         if not batch:
             return
-        for req, advice in zip(batch, engine.advise_many([r["code"] for r in batch])):
+        for req, advice in zip(batch, engine.advise_v1([r["code"] for r in batch])):
             print(json.dumps({
                 "id": req.get("id"),
-                "needs_directive": advice.needs_directive,
+                "needs_directive": advice.verdict,
                 "p_directive": round(advice.probability, 6),
             }))
         sys.stdout.flush()
@@ -365,12 +353,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush()
     flush()
     if args.stats:
-        from repro.serve import snapshot_stats
-
-        print(json.dumps(snapshot_stats(engine)), file=sys.stderr)
-    close = getattr(engine, "close", None)
-    if close is not None:
-        close()
+        print(json.dumps(engine.stats()), file=sys.stderr)
+    engine.close()
     return 0
 
 

@@ -4,23 +4,26 @@ Six modules build on each other:
 
 * :mod:`repro.serve.api` — the v1 advice surface:
   :class:`AdviceRequest` / :class:`AdviceResult`, the one
-  request/response dataclass pair every serving layer speaks
-  (``advise_v1`` on :class:`MultiModelEngine` and
-  :class:`ShardedEngine`, ``/v1/*`` over HTTP); ``SCHEMA_VERSION``
-  names the wire schema.
+  request/response dataclass pair every serving layer speaks;
+  ``SCHEMA_VERSION`` names the wire schema.  ``advise_v1`` is the only
+  way in: on :class:`MultiModelEngine` (plus ``advise_v1_async``, the
+  same pipeline through the async queues), on :class:`ShardedEngine`,
+  and as ``/v1/*`` over HTTP.
 * :mod:`repro.serve.engine` — :class:`InferenceEngine`: length-bucketed
   micro-batching, token-digest prediction LRU, tokenize-once memo, sync
   bulk + async queue APIs for one model.
 * :mod:`repro.serve.registry` — :class:`ModelRegistry` /
   :class:`MultiModelEngine`: the directive model plus the ``private`` /
-  ``reduction`` clause models behind one engine, with the combined
-  :meth:`~MultiModelEngine.advise_full` fan-out, hot checkpoint reload
+  ``reduction`` clause models behind one advice pipeline (admit once,
+  split by canary arm, gate, one batched forward per head), hot
+  checkpoint reload
   (:meth:`~MultiModelEngine.reload`, :class:`CheckpointWatcher`),
   directive-gated clause fan-out (``EngineConfig.gate_margin``), and
   digest-sliced canary rollouts
   (:meth:`~MultiModelEngine.start_canary` /
   :meth:`~MultiModelEngine.promote` /
-  :meth:`~MultiModelEngine.rollback`, :class:`CanaryPolicy`).
+  :meth:`~MultiModelEngine.rollback`, :class:`CanaryPolicy`); a reload
+  refused while a canary is live raises :class:`CanaryActive`.
 * :mod:`repro.serve.sharding` — :class:`ShardedEngine`: bulk traffic
   partitioned across worker processes by source digest, per-shard caches
   kept hot, queue-depth autoscaling between :class:`AutoscaleConfig`
@@ -67,10 +70,10 @@ from repro.serve.metrics import (
     merge_stat_dicts,
 )
 from repro.serve.registry import (
+    CanaryActive,
     CanaryPolicy,
     CheckpointWatcher,
     ClauseAdvice,
-    FullAdvice,
     ModelHead,
     ModelRegistry,
     MultiModelEngine,
@@ -83,7 +86,6 @@ from repro.serve.sharding import (
     ShardedEngine,
     SupervisorConfig,
     shard_of,
-    snapshot_stats,
 )
 
 __all__ = [
@@ -95,6 +97,7 @@ __all__ = [
     "AdvisorHTTPServer",
     "ArmStats",
     "AutoscaleConfig",
+    "CanaryActive",
     "CanaryPolicy",
     "ChaosConfig",
     "CheckpointWatcher",
@@ -102,7 +105,6 @@ __all__ = [
     "DeadlineExceeded",
     "EngineConfig",
     "EngineStats",
-    "FullAdvice",
     "InferenceEngine",
     "LRUCache",
     "ModelHead",
@@ -121,5 +123,4 @@ __all__ = [
     "merge_stat_dicts",
     "serve_forever",
     "shard_of",
-    "snapshot_stats",
 ]

@@ -1,10 +1,9 @@
 """The v1 advice API: one request/response pair for every advice surface.
 
-Serving grew four overlapping entry points (``advise`` / ``advise_full``
-/ ``advise_many`` / ``advise_full_many``), each returning a slightly
-different shape and none carrying the operational context a caller
-actually wants — which model version answered, whether the canary arm
-served the request, whether lexing needed error recovery.  The v1 surface collapses them behind one dataclass pair:
+Every advice surface speaks one request/response dataclass pair, and
+the result carries the operational context a caller wants — which model
+version answered, whether the canary arm served the request, whether
+lexing needed error recovery:
 
 - :class:`AdviceRequest` — a snippet's source text in, with an optional
   caller correlation ``id``.
@@ -12,9 +11,9 @@ served the request, whether lexing needed error recovery.  The v1 surface collap
   ``degraded`` / ``recovered`` / ``model_version`` / ``arm`` as
   first-class fields instead of side channels.
 
-``MultiModelEngine.advise_v1`` and ``ShardedEngine.advise_v1`` consume and
-produce these; the legacy methods remain as thin deprecated shims (see
-their docstrings) with a parity test pinning old == new field by field.
+``MultiModelEngine.advise_v1`` (and ``advise_v1_async``, the same
+pipeline through the async queues) and ``ShardedEngine.advise_v1``
+consume and produce these; they are the only way to ask for advice.
 Over HTTP the same shapes serve ``/v1/advise`` and ``/v1/advise/batch``
 (``docs/serving.md`` documents the JSON schemas); ``schema_version`` in
 ``/stats`` reports :data:`SCHEMA_VERSION` so clients can detect the
@@ -98,10 +97,9 @@ class AdviceResult:
         return [name for name, c in self.clauses.items() if c.suggested]
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-ready dict — a strict superset of the legacy
-        ``FullAdvice.as_dict`` shape, so v1 responses stay readable by
-        legacy clients (same keys, same rounding) while adding the new
-        first-class fields."""
+        """JSON-ready dict — the legacy ``POST /advise`` body (its first
+        five keys) plus the v1 fields, so v1 responses stay readable by
+        legacy clients (same keys, same rounding)."""
         body = {
             "needs_directive": self.verdict,
             "p_directive": round(self.probability, 6),
@@ -119,22 +117,3 @@ class AdviceResult:
         if self.id is not None:
             body["id"] = self.id
         return body
-
-    @classmethod
-    def from_full(cls, full, model_version: str = "0",
-                  arm: str = "primary",
-                  id: Optional[str] = None) -> "AdviceResult":
-        """Build a result from a legacy ``FullAdvice`` (duck-typed: any
-        object with ``directive``/``clauses``/``degraded``), attaching
-        the operational context the legacy shape cannot carry."""
-        directive = full.directive
-        return cls(
-            verdict=directive.needs_directive,
-            probability=float(directive.probability),
-            clauses=dict(full.clauses),
-            degraded=full.degraded,
-            recovered=getattr(directive, "recovered", False),
-            model_version=model_version,
-            arm=arm,
-            id=id,
-        )

@@ -403,6 +403,29 @@ class InferenceEngine:
             self.stats.encode_evictions += self._encode_memo.put(key, ids)
         return ids
 
+    def admit(self, codes: Sequence[str]) -> List[Optional[bool]]:
+        """Admission for a batch: per snippet, ``None`` when it is
+        rejected (byte cap / lex budget / lexer error), else whether its
+        lexing needed error recovery.
+
+        Encodings land in the memo, so the forward that follows re-lexes
+        nothing.  A rejected snippet counts as a served request, exactly
+        like the neutral rows of :meth:`predict_proba`."""
+        slot = self._slot
+        admitted: List[Optional[bool]] = []
+        for code in codes:
+            key = slot.version_bytes + source_digest(code)
+            if self._encode(slot, code, key=key) is None:
+                admitted.append(None)
+                continue
+            with self._cache_lock:
+                admitted.append(self._recovered_memo.get(key) is not None)
+        n_rejected = admitted.count(None)
+        if n_rejected:
+            with self._cache_lock:
+                self.stats.requests += n_rejected
+        return admitted
+
     @staticmethod
     def _digest(slot: ModelSlot, ids: np.ndarray) -> bytes:
         """Prediction-cache key: model version tag + token-id digest."""

@@ -9,7 +9,8 @@ object exposing ``advise_v1(requests)`` and ``stats()`` — in practice a
 Endpoints (all JSON; schemas and ``curl`` examples in ``docs/serving.md``):
 
 * ``POST /advise`` — body ``{"code": "..."}``; replies with the combined
-  directive + clause verdict (:meth:`FullAdvice.as_dict`).
+  directive + clause verdict (the legacy keys of
+  :meth:`~repro.serve.api.AdviceResult.as_dict`).
 * ``POST /advise/batch`` — body ``{"codes": [...]}`` or
   ``{"requests": [{"id": ..., "code": "..."}]}``; replies
   ``{"results": [...]}`` in request order, echoing ids when given.
@@ -62,9 +63,11 @@ in-flight limit is shed with ``429`` + ``Retry-After``, and a circuit
 breaker answers ``503`` while the fleet is rebuilding after consecutive
 inference failures (half-open probes after the cooldown re-close it).
 ``/healthz`` and ``/stats`` bypass admission — observability must keep
-working exactly when the service is shedding.  Start the server from the
-CLI with ``repro serve --http PORT`` or programmatically via
-:func:`make_server` / :func:`serve_forever`.  The operator's guide to the
+working exactly when the service is shedding.  Routes that take no body
+discard whatever body a client sends, so the keep-alive connection stays
+in sync (a body over ``max_body_bytes`` closes the connection instead).
+Start the server from the CLI with ``repro serve --http PORT`` or
+programmatically via :func:`make_server` / :func:`serve_forever`.  The operator's guide to the
 lifecycle (probing, reload, autoscaling, failure modes) is
 ``docs/operations.md``.
 """
@@ -78,7 +81,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Tuple
 
-from repro.serve.api import AdviceRequest
+from repro.serve.api import SCHEMA_VERSION, AdviceRequest
 
 __all__ = ["AdmissionConfig", "AdvisorHTTPServer", "make_server",
            "serve_forever"]
@@ -327,11 +330,31 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
             return None
         return payload
 
+    def _discard_unread_body(self) -> None:
+        """The one place unread request bodies are dealt with: for a route
+        that never reads its body (:data:`_BODYLESS`), the declared
+        ``Content-Length`` is discarded before the handler runs, so the
+        leftover bytes are never parsed as the next request on a
+        keep-alive connection.  A length over ``max_body_bytes`` (or one
+        that does not parse) is not read; the connection closes after
+        the reply instead."""
+        if _strip_v1(self.path) not in _BODYLESS:
+            return
+        try:
+            length = int(self.headers.get("Content-Length", 0) or 0)
+        except ValueError:
+            length = -1
+        if length < 0 or length > self.server.admission.max_body_bytes:
+            self.close_connection = True
+        elif length:
+            self.rfile.read(length)
+
     # -- GET ---------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 — http.server API
         """Route ``/healthz`` and ``/stats`` (bare or ``/v1/``-prefixed —
         the GET surface is identical on both)."""
+        self._discard_unread_body()
         path = _strip_v1(self.path)
         if path == "/healthz":
             self.server.bump("healthz")
@@ -354,7 +377,6 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
             except Exception as exc:  # noqa: BLE001 — report, don't die
                 self._error(500, f"stats failed: {exc}")
                 return
-            from repro.serve.api import SCHEMA_VERSION
             self._send_json(200, {"schema_version": SCHEMA_VERSION,
                                   "http": self.server.counters(),
                                   "admission": self.server.admission_stats(),
@@ -371,6 +393,7 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
         answers the v1 result schema, the legacy alias keeps the legacy
         shape (batch answers the v1 schema on both spellings — it is a
         strict superset, so legacy clients keep parsing)."""
+        self._discard_unread_body()
         v1 = self.path != _strip_v1(self.path)
         path = _strip_v1(self.path)
         if path == "/advise":
@@ -409,15 +432,15 @@ class _AdvisorHandler(BaseHTTPRequestHandler):
                 # (advisors without the async surface, e.g.
                 # ShardedEngine, answer through advise_v1)
                 advise_async = getattr(self.server.advisor,
-                                       "advise_full_async", None)
+                                       "advise_v1_async", None)
                 if v1 or advise_async is None:
                     body = _advise_v1(self.server.advisor, [code],
                                       [payload.get("id")])[0].as_dict()
-                    if not v1:  # the legacy shape lacks the v1 fields
-                        for key in _V1_ONLY_KEYS:
-                            body.pop(key, None)
                 else:
                     body = advise_async(code).as_dict()
+                if not v1:  # the legacy shape lacks the v1 fields
+                    for key in _V1_ONLY_KEYS:
+                        body.pop(key, None)
             except Exception as exc:  # noqa: BLE001 — report, don't die
                 self.server.record_outcome(False)
                 self._error(500, f"inference failed: {exc}")
@@ -616,6 +639,10 @@ def _strip_v1(path: str) -> str:
         return path[len("/v1"):] or "/"
     return path
 
+
+#: Routes whose handlers never read the request body (legacy spelling).
+_BODYLESS = frozenset({"/healthz", "/stats", "/canary/promote",
+                       "/canary/rollback"})
 
 #: ``AdviceResult.as_dict`` keys the legacy ``POST /advise`` body lacks.
 _V1_ONLY_KEYS = ("recovered", "model_version", "arm", "id")

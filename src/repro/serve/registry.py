@@ -18,9 +18,12 @@ behind a single front door:
   ``max_len``, the encoded row *lengths* — and therefore the
   length-homogeneous bucket structure — are identical across heads, so the
   fan-out re-buckets nothing.
-* :class:`FullAdvice` — the combined verdict: the directive
-  :class:`~repro.serve.engine.Advice` plus one :class:`ClauseAdvice` per
-  clause head, JSON-ready via :meth:`FullAdvice.as_dict`.
+* :meth:`MultiModelEngine.advise_v1` — the one advice pipeline: admit
+  and encode once, split by canary arm, gate, one batched forward per
+  head, and assemble :class:`~repro.serve.api.AdviceResult` (directive
+  verdict plus one :class:`ClauseAdvice` per clause head);
+  :meth:`~MultiModelEngine.advise_v1_async` runs the same pipeline
+  through the heads' async queues.
 
 Three operability layers ride on top (see ``docs/operations.md``):
 
@@ -51,6 +54,7 @@ Three operability layers ride on top (see ``docs/operations.md``):
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import OrderedDict
@@ -61,7 +65,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.models.pragformer import PragFormer
 from repro.serve.api import AdviceRequest, AdviceResult
 from repro.serve.engine import (
-    Advice,
     EngineConfig,
     InferenceEngine,
     LRUCache,
@@ -73,10 +76,10 @@ from repro.tokenize import Vocab, robust_text_tokens
 __all__ = [
     "DEFAULT_CLAUSES",
     "DIRECTIVE",
+    "CanaryActive",
     "CanaryPolicy",
     "CheckpointWatcher",
     "ClauseAdvice",
-    "FullAdvice",
     "ModelHead",
     "ModelRegistry",
     "MultiModelEngine",
@@ -127,43 +130,39 @@ class ClauseAdvice:
     suggested: bool
 
 
-@dataclass(frozen=True)
-class FullAdvice:
-    """Combined advisor verdict: directive decision + per-clause verdicts.
+def _clause_advice(p: float) -> ClauseAdvice:
+    """The §4.1 decision rule for one clause head (positive iff > 0.5)."""
+    return ClauseAdvice(float(p), bool(float(p) > 0.5))
 
-    ``clauses`` maps clause-head name (``"private"``, ``"reduction"``) to
-    :class:`ClauseAdvice`; a clause is only *recommended* when the snippet
-    also needs a directive — a ``private`` clause on a serial loop is
-    meaningless — which is what :meth:`recommended_clauses` encodes.
-    ``degraded`` marks a verdict the fleet could not compute (see
-    :class:`~repro.serve.engine.Advice`): neutral placeholder values, no
-    clause verdicts, and the flag surfaces in :meth:`as_dict` so HTTP
-    clients can tell.
-    """
 
-    directive: Advice
-    clauses: Dict[str, ClauseAdvice]
-    degraded: bool = False
+#: A pipeline forward stage: ``(engine, codes)`` jobs in, one P(+)
+#: sequence per job out.
+_Forward = Callable[[List[Tuple[InferenceEngine, List[str]]]],
+                    List[Sequence[float]]]
 
-    def recommended_clauses(self) -> List[str]:
-        """Clause names worth suggesting: directive-positive and p > 0.5."""
-        if not self.directive.needs_directive:
-            return []
-        return [name for name, c in self.clauses.items() if c.suggested]
 
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready dict — the ``/advise`` HTTP response body."""
-        return {
-            "needs_directive": self.directive.needs_directive,
-            "p_directive": round(self.directive.probability, 6),
-            "clauses": {
-                name: {"probability": round(c.probability, 6),
-                       "suggested": c.suggested}
-                for name, c in self.clauses.items()
-            },
-            "recommended_clauses": self.recommended_clauses(),
-            "degraded": self.degraded,
-        }
+def _forward_sync(jobs) -> List[Sequence[float]]:
+    """Forward stage of :meth:`MultiModelEngine.advise_v1`: one batched
+    ``predict_proba`` per job."""
+    return [engine.predict_proba(codes)[:, 1] for engine, codes in jobs]
+
+
+def _forward_async(jobs, timeout: Optional[float]) -> List[List[float]]:
+    """Forward stage of :meth:`MultiModelEngine.advise_v1_async`: enqueue
+    every job's rows through ``submit()`` before waiting on any, so the
+    heads' micro-batching workers overlap and concurrent callers share
+    forwards."""
+    futures = [[engine.submit(code) for code in codes]
+               for engine, codes in jobs]
+    return [[float(f.result(timeout=timeout)[1]) for f in fs]
+            for fs in futures]
+
+
+class CanaryActive(RuntimeError):
+    """Refusal: a canary rollout is active.  Raised by ``reload`` (and by
+    ``start_canary`` when another canary is live) until the rollout is
+    promoted or rolled back; :class:`CheckpointWatcher` retries a reload
+    refused with it."""
 
 
 class ModelRegistry:
@@ -440,15 +439,16 @@ class MultiModelEngine:
 
     One :class:`InferenceEngine` (own prediction LRU, own counters) per
     head; a shared :class:`_SharedLexMemo` so the expensive pure-Python lex
-    runs once per distinct snippet regardless of head count.  The combined
-    :meth:`advise_full` path fans a snippet out to the directive head and
-    every clause head and folds the verdicts into one :class:`FullAdvice`.
+    runs once per distinct snippet regardless of head count.
+    :meth:`advise_v1` (bulk) and :meth:`advise_v1_async` (one request,
+    through the async queues) are the way in; both run one pipeline that
+    fans a snippet out to the directive head and every clause head and
+    folds the verdicts into one :class:`~repro.serve.api.AdviceResult`.
 
-    With ``config.gate_margin`` set, :meth:`advise_full_many` and
-    :meth:`advise_full_async` consult the directive head first and only
-    fan clause work out for snippets whose directive probability exceeds
-    ``0.5 - gate_margin`` — gated-out snippets come back with an empty
-    ``clauses`` dict (their recommendation list is empty either way).
+    With ``config.gate_margin`` set, the directive head is consulted first
+    and clause work only fans out for snippets whose directive probability
+    exceeds ``0.5 - gate_margin`` — gated-out snippets come back with an
+    empty ``clauses`` dict (their recommendation list is empty either way).
 
     :meth:`start_canary` deploys a second checkpoint to a deterministic
     digest slice of traffic alongside the primary, with per-arm counters
@@ -496,61 +496,150 @@ class MultiModelEngine:
         self._weights_handles: List[object] = []
         self._weights_mode = "private"
 
-    # -- directive-only paths (InferenceEngine-compatible surface) ---------
-
     @property
     def directive_engine(self) -> InferenceEngine:
         """The engine behind the mandatory ``directive`` head."""
         return self.engines[DIRECTIVE]
 
-    def predict_proba(self, codes: Sequence[str]):
-        """(N, 2) directive-head probabilities (clause heads untouched)."""
-        return self.directive_engine.predict_proba(codes)
+    # -- the advice pipeline ------------------------------------------------
 
-    def advise(self, code: str) -> Advice:
-        """Directive-only advice for one snippet.
+    def advise_v1(self, requests: Sequence) -> List[AdviceResult]:
+        """Bulk advice: one :class:`~repro.serve.api.AdviceResult` per
+        request, in order.
 
-        .. deprecated:: use :meth:`advise_v1` — same verdict, plus the
-           clause advice and operational fields the legacy shape lacks.
+        ``requests`` is a sequence of :class:`~repro.serve.api
+        .AdviceRequest` (bare strings are wrapped as ``code``).  Each
+        stage of :meth:`_run_arm` runs one batched ``predict_proba`` per
+        head, so a bulk call costs one forward pass per head.  Results
+        carry ``model_version``, ``arm``, ``degraded`` and ``recovered``
+        as first-class fields; the arm/version labels are advisory
+        snapshots — a promote racing the call can relabel, never change
+        a verdict.
         """
-        return self.directive_engine.advise(code)
+        reqs = [AdviceRequest.of(r) for r in requests]
+        return self._advise(reqs, _forward_sync) if reqs else []
 
-    def advise_many(self, codes: Sequence[str]) -> List[Advice]:
-        """Directive-only advice for many snippets.
+    def advise_v1_async(self, request,
+                        timeout: Optional[float] = None) -> AdviceResult:
+        """One request through the heads' async ``submit()`` queues.
 
-        .. deprecated:: use :meth:`advise_v1` — same verdicts (this is
-           the directive core it delegates to), richer results.
+        The same pipeline as :meth:`advise_v1`, except that each stage
+        enqueues the snippet on every one of its heads before waiting on
+        any, so *concurrent* callers (e.g. the HTTP server's handler
+        threads) coalesce into shared forward passes instead of each
+        running a batch-of-1.  A single-threaded caller pays at most one
+        ``flush_interval`` per stage; ``timeout`` bounds each wait.
         """
-        return self.directive_engine.advise_many(codes)
+        forward = functools.partial(_forward_async, timeout=timeout)
+        return self._advise([AdviceRequest.of(request)], forward)[0]
 
-    # -- combined fan-out path ---------------------------------------------
+    def _advise(self, reqs: List[AdviceRequest],
+                forward: "_Forward") -> List[AdviceResult]:
+        """The one advice pipeline behind both call modes.
 
-    def advise_full(self, code: str) -> FullAdvice:
-        """One snippet through all heads -> one :class:`FullAdvice`.
-
-        .. deprecated:: use :meth:`advise_v1` — identical verdicts (the
-           parity test pins them field by field), richer result shape.
+        Rows are split by canary arm (:func:`canary_routes`), each arm
+        runs :meth:`_run_arm`, and results come back in request order.
+        Canary rows also get a shadow primary directive verdict, forwarded
+        in the same stage, for the agreement counters.  A canary arm that
+        fails is served by the primary and counted as an arm error — a
+        bad canary checkpoint degrades metrics, never availability.
         """
-        return self.advise_full_many([code])[0]
+        state = self._canary
+        c_rows = [] if state is None else [
+            i for i, req in enumerate(reqs)
+            if canary_routes(req.code, state.fraction)]
+        c_set = set(c_rows)
+        p_rows = [i for i in range(len(reqs)) if i not in c_set]
+        out: List[Optional[AdviceResult]] = [None] * len(reqs)
+        if p_rows:
+            start = time.perf_counter()
+            try:
+                got, _ = self._run_arm(self.engines, [reqs[i] for i in p_rows],
+                                       forward, self.model_version, "primary")
+            except Exception:
+                if state is not None:
+                    state.note_primary_errors(len(p_rows))
+                raise
+            if state is not None:
+                state.note_primary(len(p_rows), time.perf_counter() - start)
+            for i, res in zip(p_rows, got):
+                out[i] = res
+        if c_rows:
+            c_reqs = [reqs[i] for i in c_rows]
+            start = time.perf_counter()
+            try:
+                got, shadow = self._run_arm(
+                    state.engines, c_reqs, forward, state.version, "canary",
+                    shadow=self.directive_engine)
+            except Exception:
+                self._apply_decision(state.note_canary_errors(len(c_rows)))
+                got, _ = self._run_arm(self.engines, c_reqs, forward,
+                                       self.model_version, "primary")
+            else:
+                elapsed = time.perf_counter() - start
+                agreed = [res.verdict == (p > 0.5)
+                          for res, p in zip(got, shadow)]
+                self._apply_decision(
+                    state.note_canary(len(c_rows), elapsed, agreed))
+            for i, res in zip(c_rows, got):
+                out[i] = res
+        return out
 
-    @staticmethod
-    def _clause_advice(p: float) -> ClauseAdvice:
-        """The §4.1 decision rule for one clause head (positive iff > 0.5),
-        shared by the sync fan-out and async paths so they cannot drift."""
-        return ClauseAdvice(float(p), bool(float(p) > 0.5))
+    def _run_arm(self, engines: Dict[str, InferenceEngine],
+                 reqs: List[AdviceRequest], forward: "_Forward",
+                 version: str, arm: str,
+                 shadow: Optional[InferenceEngine] = None
+                 ) -> Tuple[List[AdviceResult], List[float]]:
+        """One arm's stages: admit, gate, forward, assemble.
 
-    @classmethod
-    def _assemble_full(cls, p_directive: float,
-                       clause_probs: Dict[str, float],
-                       degraded: bool = False) -> FullAdvice:
-        """Positive-class probabilities -> :class:`FullAdvice`."""
-        p = float(p_directive)
-        return FullAdvice(
-            Advice(p, bool(p > 0.5), degraded=degraded),
-            {name: cls._clause_advice(prob)
-             for name, prob in clause_probs.items()},
-            degraded=degraded,
-        )
+        Admission runs once, through the directive engine; lexing goes
+        through the shared lex memo, so the other heads reuse it.  A
+        rejected snippet becomes a degraded neutral result and reaches no
+        head.  Without gating one stage forwards every head; with
+        ``gate_margin`` set the directive stage runs first and a second
+        stage forwards the clause heads over the rows that fan out
+        (:meth:`_fans_out`) — gating changes which rows run, never their
+        values.  ``shadow`` (the primary directive engine, for a canary
+        arm) rides the first stage.  Returns the results and one shadow
+        P(+) per request (0.5 for a rejected row, which is neutral on
+        both arms).
+        """
+        recovered = engines[DIRECTIVE].admit([req.code for req in reqs])
+        live = [i for i, rec in enumerate(recovered) if rec is not None]
+        codes = [reqs[i].code for i in live]
+        clause_names = [name for name in engines if name != DIRECTIVE]
+        gated = self.config.gate_margin is not None
+        first = [DIRECTIVE] + ([] if gated else clause_names)
+        jobs = [(engines[name], codes) for name in first]
+        if shadow is not None:
+            jobs.append((shadow, codes))
+        stage = forward(jobs)
+        probs = dict(zip(first, stage))
+        fan = list(range(len(live)))
+        if gated:
+            fan = [j for j, p in enumerate(probs[DIRECTIVE])
+                   if self._fans_out(p)]
+            self._count_gated(len(live) - len(fan), len(fan))
+            fan_codes = [codes[j] for j in fan]
+            probs.update(zip(clause_names, forward(
+                [(engines[name], fan_codes) for name in clause_names])))
+        fan_row = {j: k for k, j in enumerate(fan)}
+        results = [AdviceResult(verdict=False, probability=0.5,
+                                degraded=True, model_version=version,
+                                arm=arm, id=req.id) for req in reqs]
+        p_shadow = [0.5] * len(reqs)
+        for j, i in enumerate(live):
+            p = float(probs[DIRECTIVE][j])
+            k = fan_row.get(j)
+            clauses = {} if k is None else {
+                name: _clause_advice(probs[name][k]) for name in clause_names}
+            results[i] = AdviceResult(
+                verdict=p > 0.5, probability=p, clauses=clauses,
+                recovered=recovered[i], model_version=version, arm=arm,
+                id=reqs[i].id)
+            if shadow is not None:
+                p_shadow[i] = float(stage[-1][j])
+        return results, p_shadow
 
     def _fans_out(self, probability: float) -> bool:
         """Gating rule: does a snippet with this directive probability reach
@@ -568,246 +657,6 @@ class MultiModelEngine:
         with self._gate_lock:
             self.gated_snippets += gated
             self.fanned_snippets += fanned
-
-    def _async_fan_out(self, engines: Dict[str, InferenceEngine], code: str,
-                       timeout: Optional[float]) -> FullAdvice:
-        """One snippet through ``engines`` via the async ``submit()``
-        queues, honouring clause gating — the shared core of the primary
-        and canary arms of :meth:`advise_full_async`."""
-        directive_engine = engines[DIRECTIVE]
-        # dirty-input admission first: a snippet the directive engine
-        # rejects (byte cap / lex budget) gets the neutral degraded verdict
-        # immediately — clause heads would reject it identically, so
-        # enqueueing them would only burn queue slots
-        if directive_engine._encode(directive_engine._slot, code) is None:
-            return self._assemble_full(0.5, {}, degraded=True)
-        if self.config.gate_margin is not None:
-            p_dir = float(directive_engine.submit(code)
-                          .result(timeout=timeout)[1])
-            if not self._fans_out(p_dir):
-                self._count_gated(1, 0)
-                return self._assemble_full(p_dir, {})
-            self._count_gated(0, 1)
-            futures = [(name, engine.submit(code))
-                       for name, engine in engines.items()
-                       if name != DIRECTIVE]
-            return self._assemble_full(p_dir, {
-                name: float(future.result(timeout=timeout)[1])
-                for name, future in futures})
-        futures = [(name, engine.submit(code))
-                   for name, engine in engines.items()]
-        probs = {name: float(future.result(timeout=timeout)[1])
-                 for name, future in futures}
-        return self._assemble_full(
-            probs[DIRECTIVE],
-            {name: p for name, p in probs.items() if name != DIRECTIVE})
-
-    def advise_full_async(self, code: str,
-                          timeout: Optional[float] = None) -> FullAdvice:
-        """One snippet through every head via the async ``submit()`` queues.
-
-        Unlike :meth:`advise_full` — which runs a batch-of-1 forward per
-        head immediately — this enqueues the snippet on each head's
-        micro-batching worker and blocks until the verdicts arrive, so
-        *concurrent* callers (e.g. the HTTP server's handler threads) get
-        coalesced into shared forward passes instead of each paying a
-        batch-of-1.  Single-threaded callers pay at most one
-        ``flush_interval`` of extra latency per head.
-
-        With ``gate_margin`` set, the directive verdict is awaited first
-        and clause heads are only enqueued when the snippet fans out —
-        gating trades the lost head-level overlap for skipping the clause
-        forwards entirely on directive-negative traffic.
-
-        With a canary active (:meth:`start_canary`), snippets in the
-        canary's digest slice are served by the canary engines (with a
-        shadow primary directive verdict for the agreement counters) and
-        everything else by the primary, each arm feeding its
-        :class:`~repro.serve.metrics.ArmStats`.
-        """
-        state = self._canary
-        if state is None:
-            return self._async_fan_out(self.engines, code, timeout)
-        if canary_routes(code, state.fraction):
-            return self._canary_async(state, code, timeout)
-        start = time.perf_counter()
-        try:
-            full = self._async_fan_out(self.engines, code, timeout)
-        except Exception:
-            state.note_primary_errors(1)
-            raise
-        state.note_primary(1, time.perf_counter() - start)
-        return full
-
-    def _canary_async(self, state: "_CanaryState", code: str,
-                      timeout: Optional[float]) -> FullAdvice:
-        """Canary-arm async path: serve from the canary engines, shadow the
-        primary directive head for verdict agreement, and fall back to the
-        primary arm (counting an error) if the canary fails — a bad canary
-        checkpoint degrades metrics, never availability."""
-        shadow = self.directive_engine.submit(code)
-        start = time.perf_counter()
-        try:
-            full = self._async_fan_out(state.engines, code, timeout)
-        except Exception:
-            self._apply_decision(state.note_canary_errors(1))
-            full = self._async_fan_out(self.engines, code, timeout)
-            shadow.result(timeout=timeout)  # drain the shadow verdict
-            return full
-        elapsed = time.perf_counter() - start
-        p_primary = float(shadow.result(timeout=timeout)[1])
-        agreed = full.directive.needs_directive == bool(p_primary > 0.5)
-        self._apply_decision(state.note_canary(1, elapsed, [agreed]))
-        return full
-
-    def _fan_out(self, engines: Dict[str, InferenceEngine],
-                 codes: Sequence[str],
-                 directive: Optional[Sequence[Advice]]) -> List[FullAdvice]:
-        """Bulk fan-out through one arm's ``engines`` (gating included) —
-        the shared core of the primary and canary arms of
-        :meth:`advise_full_many`."""
-        if directive is None:
-            directive = engines[DIRECTIVE].advise_many(codes)
-        # degraded (rejected) snippets never reach the clause heads: the
-        # heads share the same dirty-input limits and would reject them
-        # identically, so they stay out of both gating counters
-        n_degraded = sum(1 for adv in directive if adv.degraded)
-        fan_idx = [i for i, adv in enumerate(directive)
-                   if not adv.degraded and self._fans_out(adv.probability)]
-        self._count_gated(len(codes) - n_degraded - len(fan_idx),
-                          len(fan_idx))
-        fan_codes = [codes[i] for i in fan_idx]
-        fan_row = {orig: row for row, orig in enumerate(fan_idx)}
-        clause_probs = {
-            name: engine.predict_proba(fan_codes)[:, 1]
-            for name, engine in engines.items() if name != DIRECTIVE
-        }
-        full = []
-        for i, adv in enumerate(directive):
-            row = fan_row.get(i)
-            clauses = {} if row is None else {
-                name: self._clause_advice(probs[row])
-                for name, probs in clause_probs.items()
-            }
-            full.append(FullAdvice(adv, clauses, degraded=adv.degraded))
-        return full
-
-    def advise_full_many(self, codes: Sequence[str],
-                         directive: Optional[Sequence[Advice]] = None
-                         ) -> List[FullAdvice]:
-        """Bulk combined advice: every head sees every fanned-out snippet.
-
-        Tokenization is shared (one lex per distinct snippet), and since
-        all heads truncate to the same ``max_len`` the per-head engines
-        form identical length buckets — the fan-out costs one forward pass
-        per head, nothing more.  Callers that already hold directive
-        verdicts for ``codes`` (e.g. the CLI, which gates clause inference
-        on them) can pass them via ``directive`` to skip re-scoring.
-
-        With ``gate_margin`` set, clause heads only see the snippets that
-        fan out (see :meth:`_fans_out`); gated-out snippets get an empty
-        ``clauses`` dict.  Snippets that do fan out get byte-identical
-        clause verdicts to an ungated engine — gating changes which rows
-        run, never their values.
-
-        With a canary active, the batch is split by :func:`canary_routes`:
-        the canary slice is served by the canary engines (shadow primary
-        directive verdicts feed the agreement counters), the rest by the
-        primary, and results come back in request order either way.
-
-        .. deprecated:: external callers should use :meth:`advise_v1`,
-           which wraps this path and adds the operational fields; this
-           remains as the fan-out core every surface shares.
-        """
-        if directive is not None and len(directive) != len(codes):
-            raise ValueError("directive advice must match codes 1:1")
-        state = self._canary
-        if state is None:
-            return self._fan_out(self.engines, codes, directive)
-        return self._advise_full_many_canary(state, codes, directive)
-
-    def _advise_full_many_canary(self, state: "_CanaryState",
-                                 codes: Sequence[str],
-                                 directive: Optional[Sequence[Advice]]
-                                 ) -> List[FullAdvice]:
-        """Split one bulk call across the two arms and merge in order."""
-        c_rows = [i for i, code in enumerate(codes)
-                  if canary_routes(code, state.fraction)]
-        c_set = set(c_rows)
-        p_rows = [i for i in range(len(codes)) if i not in c_set]
-        out: List[Optional[FullAdvice]] = [None] * len(codes)
-        if p_rows:
-            p_dir = None if directive is None else [directive[i] for i in p_rows]
-            start = time.perf_counter()
-            try:
-                p_full = self._fan_out(self.engines,
-                                       [codes[i] for i in p_rows], p_dir)
-            except Exception:
-                state.note_primary_errors(len(p_rows))
-                raise
-            state.note_primary(len(p_rows), time.perf_counter() - start)
-            for i, full in zip(p_rows, p_full):
-                out[i] = full
-        if c_rows:
-            c_codes = [codes[i] for i in c_rows]
-            c_dir = None if directive is None else [directive[i] for i in c_rows]
-            start = time.perf_counter()
-            try:
-                c_full = self._fan_out(state.engines, c_codes, None)
-            except Exception:
-                # a failing canary arm degrades metrics, not availability:
-                # serve its slice from the primary and count the errors
-                self._apply_decision(state.note_canary_errors(len(c_rows)))
-                c_full = self._fan_out(self.engines, c_codes, c_dir)
-                for i, full in zip(c_rows, c_full):
-                    out[i] = full
-                return out
-            elapsed = time.perf_counter() - start
-            # shadow directive verdicts from the primary arm, for the
-            # agreement counters (cheap: one extra directive-head batch,
-            # largely cache-resident on repeated traffic)
-            shadow = (c_dir if c_dir is not None
-                      else self.directive_engine.advise_many(c_codes))
-            agreed = [got.directive.needs_directive == ref.needs_directive
-                      for got, ref in zip(c_full, shadow)]
-            self._apply_decision(
-                state.note_canary(len(c_rows), elapsed, agreed))
-            for i, full in zip(c_rows, c_full):
-                out[i] = full
-        return out
-
-    # -- the v1 advice surface ----------------------------------------------
-
-    def advise_v1(self, requests: Sequence) -> List[AdviceResult]:
-        """Bulk advice through the unified v1 surface.
-
-        ``requests`` is a sequence of :class:`~repro.serve.api
-        .AdviceRequest` (bare strings are accepted and wrapped as
-        ``code``).  Returns one :class:`~repro.serve.api.AdviceResult` per
-        request, in order: the same verdict/probability/clause values the
-        legacy ``advise_full_many`` path computes (it *is* that path
-        underneath — gating, canary split, and caches are shared), plus
-        the operational context as first-class fields: ``model_version``,
-        ``arm`` (which canary arm was routed to), ``degraded``, and
-        ``recovered``.  The arm/version labels are advisory snapshots —
-        a promote racing the call can relabel, never change a verdict.
-        """
-        reqs = [AdviceRequest.of(r) for r in requests]
-        if not reqs:
-            return []
-        state = self._canary
-        fulls = self.advise_full_many([r.code for r in reqs])
-        results = []
-        for req, full in zip(reqs, fulls):
-            canary = (state is not None
-                      and canary_routes(req.code, state.fraction))
-            results.append(AdviceResult.from_full(
-                full,
-                model_version=(state.version if canary
-                               else self.model_version),
-                arm="canary" if canary else "primary",
-                id=req.id))
-        return results
 
     # -- hot reload ----------------------------------------------------------
 
@@ -834,7 +683,7 @@ class MultiModelEngine:
         agrees on its deployed version.  Returns the tag deployed (also
         reported by :meth:`stats` as ``model_version``).
 
-        Raises ``RuntimeError`` while a canary is active — finish the
+        Raises :class:`CanaryActive` while a canary is active — finish the
         rollout (:meth:`promote` / :meth:`rollback`) first, so the canary's
         agreement counters always compare against one fixed primary.
 
@@ -853,7 +702,7 @@ class MultiModelEngine:
             if self._canary is not None:
                 if shared is not None:
                     shared.close()
-                raise RuntimeError(
+                raise CanaryActive(
                     "a canary rollout is active; promote() or rollback() "
                     "it before reloading the primary")
             self._reload_count += 1
@@ -925,8 +774,8 @@ class MultiModelEngine:
         is met; without one the operator calls :meth:`promote` /
         :meth:`rollback`.  ``version`` overrides the default
         ``v<n>:<dir>`` tag (:class:`~repro.serve.sharding.ShardedEngine`
-        passes one tag fleet-wide).  Raises ``RuntimeError`` if a canary
-        is already active; a missing/incomplete checkpoint raises without
+        passes one tag fleet-wide).  Raises :class:`CanaryActive` if a
+        canary is already active; a missing/incomplete checkpoint raises without
         disturbing the primary.  Returns the canary's version tag.
 
         ``segment`` names an already-published shared weights segment,
@@ -945,7 +794,7 @@ class MultiModelEngine:
             if self._canary is not None:
                 if shared is not None:
                     shared.close()
-                raise RuntimeError(
+                raise CanaryActive(
                     f"canary {self._canary.version} already active; "
                     "promote() or rollback() it first")
             self._reload_count += 1
@@ -1186,14 +1035,13 @@ class CheckpointWatcher:
         previous_mtime, self._last_mtime = self._last_mtime, mtime
         try:
             self.advisor.reload(self.path)
-        except RuntimeError as exc:
+        except CanaryActive as exc:
             # a canary-blocked reload is *retryable*, not broken: keep the
             # old baseline so the rollout is retried every poll and lands
             # as soon as the canary is promoted or rolled back (otherwise
             # a checkpoint written mid-canary would be dropped forever)
             self.last_error = f"{type(exc).__name__}: {exc}"
-            if "canary" in str(exc):
-                self._last_mtime = previous_mtime
+            self._last_mtime = previous_mtime
         except Exception as exc:  # noqa: BLE001 — keep serving old weights
             self.last_error = f"{type(exc).__name__}: {exc}"
         else:

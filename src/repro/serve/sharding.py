@@ -9,14 +9,17 @@ hosting its own engine built by a caller-supplied zero-argument factory:
   ``blake2b(code) % n_shards``, so the *same* snippet always lands on the
   *same* worker and that worker's prediction LRU and tokenize memo stay hot
   (random routing would cut every cache's effective hit rate by 1/N).
-* **Bulk fan-out** — one :meth:`predict_proba` / :meth:`advise_full_many`
-  call splits its codes by shard, sends each worker one sub-batch, and the
-  workers run concurrently; results are scattered back into request order.
+* **Bulk fan-out** — one :meth:`advise_v1` call splits its snippets by
+  shard, sends each worker one sub-batch, and the workers run
+  concurrently; results are scattered back into request order.
 * **One data plane** — every call, serving or control, travels as a
   pickled ``(rid, method, payload)`` tuple on the worker's request queue
-  and comes back on its reply queue.  Workers lex, encode, and score the
-  source text themselves, so a fleet's verdicts, ``recovered`` flags,
-  and gating counters are exactly those of the engine it hosts.  The
+  and comes back on its reply queue.  The one serving request is
+  ``advise_v1``: snippet texts in, the worker
+  :class:`~repro.serve.registry.MultiModelEngine`'s own
+  :class:`~repro.serve.api.AdviceResult` list out, so a fleet's
+  verdicts, ``recovered`` flags, arms, model versions and gating
+  counters are exactly those of the engine it hosts.  The
   queue won the data-plane choice against shared-memory request rings
   on measurement (``docs/performance.md``).
 * **Concurrent callers** — replies are tagged with request ids, so multiple
@@ -76,28 +79,24 @@ import os
 import queue as queue_mod
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.nn.dtype import get_dtype
 from repro.serve.chaos import ChaosConfig, inject_fault
 from repro.serve.api import AdviceRequest, AdviceResult
-from repro.serve.engine import Advice, source_digest
+from repro.serve.engine import source_digest
 from repro.serve.metrics import RollingMean, merge_arm_stats, merge_stat_dicts
-from repro.serve.registry import FullAdvice, canary_routes
+from repro.serve.registry import CanaryActive
 
 __all__ = ["AutoscaleConfig", "DeadlineExceeded", "ShardedEngine",
-           "SupervisorConfig", "shard_of", "snapshot_stats"]
+           "SupervisorConfig", "shard_of"]
 
 _STOP = "stop"
 
-#: Bulk serving methods: the only calls that carry request deadlines, may
-#: be answered with degraded verdicts, and advance the chaos call counter.
-_SERVING_METHODS = frozenset(
-    {"predict_proba", "advise_many", "advise_full_many"})
+#: The serving method: the only call that carries a request deadline, may
+#: be answered with degraded verdicts, and advances the chaos call counter.
+_SERVING_METHODS = frozenset({"advise_v1"})
 
 #: How long an idle worker blocks on its request queue before checking
 #: that the process that spawned it is still alive.  A worker holds its
@@ -238,27 +237,6 @@ class SupervisorConfig:
                    self.restart_backoff_s * (2.0 ** consecutive_failures))
 
 
-def snapshot_stats(engine) -> Dict[str, object]:
-    """Engine-agnostic stats snapshot: supports the single-head
-    ``engine.stats`` (an ``EngineStats``), ``MultiModelEngine.stats()``,
-    and ``ShardedEngine.stats()`` alike.  The one helper shared by the
-    worker loop and the CLI's ``--stats`` dump."""
-    stats = getattr(engine, "stats", None)
-    if callable(stats):
-        return stats()
-    if stats is not None:
-        return stats.as_dict()
-    return {}
-
-
-def _head_names(engine) -> List[str]:
-    """Engine-agnostic model-head listing (empty for single-model engines)."""
-    names = getattr(engine, "head_names", None)
-    if callable(names):
-        return list(names())
-    return []
-
-
 def _well_formed(result, expected: int) -> bool:
     """Whether a worker's ``ok`` reply can answer an ``expected``-snippet
     sub-batch: a non-string sequence of exactly that length.  A garbled
@@ -275,37 +253,28 @@ def _well_formed(result, expected: int) -> bool:
 
 
 def _dispatch(engine, method: str, payload):
-    """Run one control/serving method against the worker's engine."""
+    """Run one control/serving method against the worker's engine (a
+    :class:`~repro.serve.registry.MultiModelEngine`)."""
+    if method == "advise_v1":
+        return engine.advise_v1(payload)
     if method == "ping":
         return "pong"
     if method == "stats":
-        return snapshot_stats(engine)
+        return engine.stats()
     if method == "heads":
-        return _head_names(engine)
+        return engine.head_names()
     if method == "reload":
-        path, version, segment = (payload if len(payload) == 3
-                                  else (*payload, None))
-        if segment is not None:
-            try:  # engines without a segment= kwarg load eagerly instead
-                return engine.reload(path, version=version, segment=segment)
-            except TypeError:
-                pass
-        return engine.reload(path, version=version)
+        path, version, segment = payload
+        return engine.reload(path, version=version, segment=segment)
     if method == "start_canary":
-        path, fraction, version, segment = (payload if len(payload) == 4
-                                            else (*payload, None))
-        if segment is not None:
-            try:
-                return engine.start_canary(path, fraction, version=version,
-                                           segment=segment)
-            except TypeError:
-                pass
-        return engine.start_canary(path, fraction, version=version)
+        path, fraction, version, segment = payload
+        return engine.start_canary(path, fraction, version=version,
+                                   segment=segment)
     if method == "canary_promote":
         return engine.promote()
     if method == "canary_rollback":
         return engine.rollback()
-    return getattr(engine, method)(payload)
+    raise ValueError(f"unknown worker method {method!r}")
 
 
 def _worker_main(factory, requests, responses, parent_pid: int,
@@ -328,7 +297,6 @@ def _worker_main(factory, requests, responses, parent_pid: int,
     siblings.  A failed replay (the checkpoint vanished since) falls
     back to the weights already loaded and keeps serving — a live worker
     with a divergent ``model_version`` in ``/stats`` beats a dead slot.
-    Both specs also arrive as their legacy segment-less tuples.
 
     Messages are ``(rid, method, payload)`` tuples on the ``requests``
     queue, served in FIFO order — so a request sent before a reload is
@@ -382,9 +350,7 @@ def _worker_main(factory, requests, responses, parent_pid: int,
             except Exception as exc:  # noqa: BLE001 — relayed to the caller
                 responses.put((rid, "error", f"{type(exc).__name__}: {exc}"))
     finally:
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
+        engine.close()
 
 
 class _Token(NamedTuple):
@@ -413,13 +379,10 @@ class _Token(NamedTuple):
 class ShardedEngine:
     """Bulk advisor traffic partitioned across N single-engine workers.
 
-    ``factory`` builds one engine per worker (an
-    :class:`~repro.serve.engine.InferenceEngine`, a
-    :class:`~repro.serve.registry.MultiModelEngine`, or anything exposing
-    the same bulk methods).  All bulk calls (:meth:`predict_proba`,
-    :meth:`advise_many`, :meth:`advise_full_many`) route per snippet by
-    :func:`shard_of` over the *active* shard count and preserve request
-    order in the returned results.
+    ``factory`` builds one :class:`~repro.serve.registry.MultiModelEngine`
+    per worker (a directive-only registry is fine).  :meth:`advise_v1`
+    routes per snippet by :func:`shard_of` over the *active* shard count
+    and preserves request order in the returned results.
 
     Passing ``autoscale=AutoscaleConfig(...)`` turns on load-signal
     autoscaling: the worker fleet grows and shrinks between the
@@ -637,13 +600,12 @@ class ShardedEngine:
             self._requests[shard].put((token.rid, method, payload))
         return token
 
-    def _send_serving(self, shard: int, method: str,
-                      sub: List[str]) -> _Token:
-        """Send one serving sub-batch to ``shard`` under the request
+    def _send_serving(self, shard: int, sub: List[str]) -> _Token:
+        """Send one ``advise_v1`` sub-batch to ``shard`` under the request
         deadline (``SupervisorConfig.request_timeout_s``)."""
         with self._meta_lock:
             self._queue_serving_sends += 1
-        return self._send(shard, method, sub,
+        return self._send(shard, "advise_v1", sub,
                           deadline=self._request_deadline())
 
     def _abandon(self, token: _Token) -> None:
@@ -739,8 +701,8 @@ class ShardedEngine:
                             f"shard {token.shard} worker died (exitcode "
                             f"{token.worker.exitcode})") from None
 
-    def _scatter_call(self, method: str, codes: Sequence[str]) -> List:
-        """Fan ``codes`` out by shard, run ``method`` on each worker's
+    def _scatter(self, codes: Sequence[str]) -> List[AdviceResult]:
+        """Fan ``codes`` out by shard, run ``advise_v1`` on each worker's
         sub-batch concurrently, and gather results back in request order.
 
         Each sub-batch carries a deadline
@@ -757,7 +719,7 @@ class ShardedEngine:
         if self._local is not None:
             with self._meta_lock:  # routed[] is read-modify-write
                 self.routed[0] += len(codes)
-            return list(getattr(self._local, method)(list(codes)))
+            return self._local.advise_v1(codes)
         self._observe_load()
         # hash outside the lock (the routing key is shard-count
         # independent); bucket + send under it so a concurrent resize
@@ -775,7 +737,7 @@ class ShardedEngine:
                 with self._meta_lock:
                     self.routed[shard] += len(rows)
                 tokens[shard] = self._send_serving(
-                    shard, method, [codes[i] for i in rows])
+                    shard, [codes[i] for i in rows])
         out: List = [None] * len(codes)
         failures: List[str] = []
         faulted: List[Tuple[int, List[int]]] = []
@@ -811,9 +773,9 @@ class ShardedEngine:
             raise RuntimeError("; ".join(failures))
         for shard, rows in faulted:
             sub = [codes[i] for i in rows]
-            result = self._retry_subbatch(method, sub, exclude=shard)
+            result = self._retry_subbatch(sub, exclude=shard)
             if result is None:
-                result = self._degraded_result(method, len(rows))
+                result = self._degraded_result(len(rows))
             for i, value in zip(rows, result):
                 out[i] = value
         return out
@@ -825,8 +787,8 @@ class ShardedEngine:
         timeout = self.supervisor.request_timeout_s
         return None if timeout is None else time.monotonic() + timeout
 
-    def _retry_subbatch(self, method: str, sub: List[str],
-                        exclude: int) -> Optional[List]:
+    def _retry_subbatch(self, sub: List[str],
+                        exclude: int) -> Optional[List[AdviceResult]]:
         """One retry of a faulted sub-batch: a live shard other than
         ``exclude`` first, the in-process fallback engine second.
 
@@ -842,7 +804,7 @@ class ShardedEngine:
                     (s for s in ((exclude + k) % n for k in range(1, n))
                      if self._workers[s].is_alive()), None)
                 if target is not None:
-                    token = self._send_serving(target, method, sub)
+                    token = self._send_serving(target, sub)
         if token is not None:
             try:
                 status, result = self._collect(token)
@@ -857,7 +819,7 @@ class ShardedEngine:
         fallback = self._fallback()
         if fallback is not None:
             try:
-                result = list(getattr(fallback, method)(sub))
+                result = fallback.advise_v1(sub)
                 with self._meta_lock:
                     self._fallback_answers += len(sub)
                 return result
@@ -881,23 +843,18 @@ class ShardedEngine:
                     self._fallback_failed = True
             return self._fallback_engine
 
-    def _degraded_result(self, method: str, count: int) -> List:
+    def _degraded_result(self, count: int) -> List[AdviceResult]:
         """Explicit neutral verdicts for ``count`` unanswerable snippets.
 
-        ``p = 0.5`` / ``needs_directive = False`` with ``degraded=True``
-        set — visibly *not* a model prediction, but a well-formed answer
-        the HTTP layer can serialize, so a fleet-wide outage sheds
-        accuracy instead of availability."""
+        ``p = 0.5`` / ``verdict = False`` with ``degraded=True`` set —
+        visibly *not* a model prediction, but a well-formed answer the
+        HTTP layer can serialize, so a fleet-wide outage sheds accuracy
+        instead of availability."""
         with self._meta_lock:
             self._degraded_answers += count
-        if method == "predict_proba":
-            return [np.full(2, 0.5, dtype=get_dtype()) for _ in range(count)]
-        if method == "advise_many":
-            return [Advice(0.5, False, degraded=True) for _ in range(count)]
-        if method == "advise_full_many":
-            return [FullAdvice(Advice(0.5, False, degraded=True), {},
-                               degraded=True) for _ in range(count)]
-        raise RuntimeError(f"no neutral verdict for method {method!r}")
+        return [AdviceResult(verdict=False, probability=0.5, degraded=True,
+                             model_version=self._model_version)
+                for _ in range(count)]
 
     # -- supervision -------------------------------------------------------
 
@@ -1143,61 +1100,21 @@ class ShardedEngine:
         if self._lat_window is not None:
             self._lat_window.clear()
 
-    # -- bulk APIs ---------------------------------------------------------
-
-    def predict_proba(self, codes: Sequence[str]) -> np.ndarray:
-        """(N, 2) directive probabilities, sharded and order-preserving."""
-        rows = self._scatter_call("predict_proba", codes)
-        if not rows:
-            # compute dtype, not np.empty's float64 default — the sharded
-            # path must stay as float32-pure as the in-process engine
-            return np.empty((0, 2), dtype=get_dtype())
-        return np.stack([np.asarray(row) for row in rows])
-
-    def advise_many(self, codes: Sequence[str]) -> List[Advice]:
-        """Bulk directive advice across shards."""
-        return self._scatter_call("advise_many", codes)
-
-    def advise(self, code: str) -> Advice:
-        """Single-snippet directive advice (routed like any other)."""
-        return self.advise_many([code])[0]
-
-    def advise_full_many(self, codes: Sequence[str]) -> List:
-        """Bulk combined directive+clause advice (workers must host a
-        :class:`~repro.serve.registry.MultiModelEngine`)."""
-        return self._scatter_call("advise_full_many", codes)
-
-    def advise_full(self, code: str):
-        """Single-snippet combined advice."""
-        return self.advise_full_many([code])[0]
+    # -- the advice surface ------------------------------------------------
 
     def advise_v1(self, requests: Sequence) -> List[AdviceResult]:
         """The v1 advice surface over the fleet: a batch of
         :class:`~repro.serve.api.AdviceRequest` (or bare snippet strings)
-        in, :class:`~repro.serve.api.AdviceResult` out.  Verdicts and the
-        ``recovered`` flag come from the workers; the router stamps the
-        context only it knows — which arm a live canary routed each
-        snippet to and the fleet-wide ``model_version``."""
+        in, :class:`~repro.serve.api.AdviceResult` out.  Workers receive
+        the snippet texts and answer with their own engine's results —
+        verdicts, ``recovered``, ``arm`` and ``model_version`` included;
+        the router only restores each request's ``id``."""
         reqs = [AdviceRequest.of(r) for r in requests]
         if not reqs:
             return []
-        if self._local is not None:
-            advise_v1 = getattr(self._local, "advise_v1", None)
-            if advise_v1 is not None:
-                return advise_v1(reqs)
-        fulls = self.advise_full_many([r.code for r in reqs])
-        with self._route_lock:
-            spec = self._canary_spec
-            primary_version = self._model_version
-        results: List[AdviceResult] = []
-        for req, full in zip(reqs, fulls):
-            canary = spec is not None and canary_routes(req.code, spec[1])
-            results.append(AdviceResult.from_full(
-                full,
-                model_version=spec[2] if canary else primary_version,
-                arm="canary" if canary else "primary",
-                id=req.id))
-        return results
+        results = self._scatter([r.code for r in reqs])
+        return [res if req.id is None else replace(res, id=req.id)
+                for req, res in zip(reqs, results)]
 
     # -- one-copy weight segments ------------------------------------------
 
@@ -1273,15 +1190,11 @@ class ShardedEngine:
         if self._closed:
             raise RuntimeError("sharded engine is closed")
         if self._canary_spec is not None:
-            raise RuntimeError(
+            raise CanaryActive(
                 f"canary {self._canary_spec[2]} is active; promote() or "
                 "rollback() it before reloading the primary")
         if self._local is not None:
-            reload_fn = getattr(self._local, "reload", None)
-            if reload_fn is None:
-                raise RuntimeError(
-                    "local engine does not support reload(path)")
-            version = reload_fn(path)
+            version = self._local.reload(path)
             self._reload_spec = (path, version, None)
             return version
         # publish the checkpoint blob into one shared segment *before*
@@ -1375,7 +1288,7 @@ class ShardedEngine:
         try:
             with self._route_lock:
                 if self._canary_spec is not None:
-                    raise RuntimeError(
+                    raise CanaryActive(
                         f"canary {self._canary_spec[2]} already active; "
                         "promote() or rollback() it first")
                 self._reload_count += 1
@@ -1478,10 +1391,9 @@ class ShardedEngine:
 
     def head_names(self) -> List[str]:
         """Model heads hosted by the workers (asked of shard 0 — every
-        worker is built by the same factory); empty for single-model
-        engines."""
+        worker is built by the same factory)."""
         if self._local is not None:
-            return _head_names(self._local)
+            return self._local.head_names()
         status, result = self._collect(
             self._send(0, "heads", None, deadline=self._request_deadline()))
         if status != "ok":
@@ -1518,13 +1430,11 @@ class ShardedEngine:
         JSON-ready.
         """
         if self._local is not None:
-            shards = [snapshot_stats(self._local)]
+            shards = [self._local.stats()]
         else:
             shards = self._scatter_stats()
         # error placeholders carry no counters: aggregate over healthy only
-        healthy = [s for s in shards
-                   if isinstance(s, dict) and "error" not in s]
-        flat = [s.get("combined", s) for s in healthy]
+        healthy = [s for s in shards if "error" not in s]
         with self._meta_lock:
             routed = list(self.routed)
         out: Dict[str, object] = {
@@ -1532,15 +1442,11 @@ class ShardedEngine:
             "routed": routed,
             "queue_depth": self.queue_depth(),
             "shards": shards,
-            "combined": merge_stat_dicts(
-                f for f in flat if isinstance(f, dict)),
+            "combined": merge_stat_dicts(s["combined"] for s in healthy),
         }
-        first = next(iter(healthy), None)
-        if isinstance(first, dict) and "model_version" in first:
-            out["model_version"] = first["model_version"]
-        if isinstance(first, dict) and "canary" in first:
-            live = [s["canary"] for s in healthy
-                    if isinstance(s, dict) and s.get("canary")]
+        if healthy:
+            out["model_version"] = healthy[0]["model_version"]
+            live = [s["canary"] for s in healthy if s.get("canary")]
             out["canary"] = None if not live else {
                 "version": live[0]["version"],
                 "fraction": live[0]["fraction"],
@@ -1551,8 +1457,8 @@ class ShardedEngine:
                 },
             }
             out["last_canary"] = next(
-                (s["last_canary"] for s in shards
-                 if isinstance(s, dict) and s.get("last_canary")), None)
+                (s["last_canary"] for s in healthy if s.get("last_canary")),
+                None)
         if self.autoscale is not None:
             out["autoscaler"] = {
                 "min_shards": self.autoscale.min_shards,
@@ -1642,16 +1548,12 @@ class ShardedEngine:
         with self._fallback_lock:
             fallback, self._fallback_engine = self._fallback_engine, None
         if fallback is not None:
-            fb_close = getattr(fallback, "close", None)
-            if fb_close is not None:
-                try:
-                    fb_close()
-                except Exception:  # noqa: BLE001 — best-effort teardown
-                    pass
+            try:
+                fallback.close()
+            except Exception:  # noqa: BLE001 — best-effort teardown
+                pass
         if self._local is not None:
-            close = getattr(self._local, "close", None)
-            if close is not None:
-                close()
+            self._local.close()
             self._unlink_weights()
             return
         with self._route_lock:

@@ -8,7 +8,7 @@ makes the canary the primary through the PR-4 versioned-slot machinery (so
 a prediction cached under the old primary can never be served afterwards);
 ``rollback`` drops it without touching the primary; and a
 :class:`~repro.serve.CanaryPolicy` finishes the rollout automatically.
-The acceptance gate drives concurrent ``advise_full_async`` load across a
+The acceptance gate drives concurrent ``advise_v1_async`` load across a
 ``start_canary`` → ``promote`` sequence and requires zero dropped
 requests, zero stale cache hits, and deterministic arm assignment.
 """
@@ -24,6 +24,7 @@ from repro.models import PragFormer
 from repro.models.pragformer import PragFormerConfig
 from repro.serve import (
     AutoscaleConfig,
+    CanaryActive,
     CanaryPolicy,
     EngineConfig,
     ModelRegistry,
@@ -72,11 +73,11 @@ def checkpoints(vocab, tmp_path):
 
 @pytest.fixture()
 def verdicts(vocab, checkpoints):
-    """Reference FullAdvice per snippet from fresh engines on A and B."""
+    """Reference AdviceResult per snippet from fresh engines on A and B."""
     a, b = checkpoints
     with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as ea, \
             MultiModelEngine(ModelRegistry.from_checkpoint(b)) as eb:
-        return ea.advise_full_many(SNIPPETS), eb.advise_full_many(SNIPPETS)
+        return ea.advise_v1(SNIPPETS), eb.advise_v1(SNIPPETS)
 
 
 def _assert_arm_split(got, exp_a, exp_b, fraction=FRACTION):
@@ -85,8 +86,8 @@ def _assert_arm_split(got, exp_a, exp_b, fraction=FRACTION):
     for code, g, a, b in zip(SNIPPETS, got, exp_a, exp_b):
         ref = b if canary_routes(code, fraction) else a
         canary_rows += canary_routes(code, fraction)
-        np.testing.assert_allclose(g.directive.probability,
-                                   ref.directive.probability, atol=1e-6)
+        np.testing.assert_allclose(g.probability,
+                                   ref.probability, atol=1e-6)
         for name in ref.clauses:
             np.testing.assert_allclose(g.clauses[name].probability,
                                        ref.clauses[name].probability,
@@ -121,10 +122,10 @@ class TestStartCanary:
         with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as engine:
             version = engine.start_canary(b, FRACTION)
             assert version == f"v1:{b.name}"
-            got_sync = engine.advise_full_many(SNIPPETS)
+            got_sync = engine.advise_v1(SNIPPETS)
             n_canary = _assert_arm_split(got_sync, exp_a, exp_b)
             assert n_canary >= 1
-            got_async = [engine.advise_full_async(code) for code in SNIPPETS]
+            got_async = [engine.advise_v1_async(code) for code in SNIPPETS]
             _assert_arm_split(got_async, exp_a, exp_b)
             # primary model_version is untouched while the canary runs
             assert engine.model_version == "0"
@@ -133,9 +134,9 @@ class TestStartCanary:
         a, b = checkpoints
         with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as engine:
             engine.start_canary(b, FRACTION)
-            engine.advise_full_many(SNIPPETS)
+            engine.advise_v1(SNIPPETS)
             for code in SNIPPETS:
-                engine.advise_full_async(code)
+                engine.advise_v1_async(code)
             arms = engine.stats()["canary"]["arms"]
             expected_canary = 2 * sum(
                 canary_routes(code, FRACTION) for code in SNIPPETS)
@@ -150,6 +151,32 @@ class TestStartCanary:
             assert arms["canary"]["latency_samples"] == expected_canary
             assert arms["canary"]["latency_total_s"] > 0
 
+    def test_failing_canary_arm_is_served_by_primary(self, checkpoints,
+                                                     verdicts):
+        """A canary arm that raises costs metrics, not availability: its
+        rows are answered by the primary — and labelled as such — on both
+        call modes, and every one counts as a canary-arm error."""
+        a, b = checkpoints
+        exp_a, _ = verdicts
+        with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as engine:
+            engine.start_canary(b, 1.0)
+
+            def broken(*args, **kwargs):
+                raise RuntimeError("canary head exploded")
+
+            canary_directive = engine._canary.engines["directive"]
+            canary_directive.predict_proba = broken
+            canary_directive.submit = broken
+            got = engine.advise_v1(SNIPPETS)
+            got += [engine.advise_v1_async(code) for code in SNIPPETS]
+            for res, ref in zip(got, exp_a + exp_a):
+                assert (res.arm, res.model_version) == ("primary", "0")
+                assert res.probability == pytest.approx(ref.probability,
+                                                        abs=1e-6)
+            arms = engine.stats()["canary"]["arms"]
+            assert arms["canary"]["errors"] == 2 * len(SNIPPETS)
+            assert arms["canary"]["requests"] == 0
+
     def test_second_canary_rejected(self, checkpoints):
         a, b = checkpoints
         with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as engine:
@@ -161,11 +188,11 @@ class TestStartCanary:
                                                      tmp_path):
         a, _ = checkpoints
         with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as engine:
-            before = engine.advise_full(SNIPPETS[0])
+            before = engine.advise_v1([SNIPPETS[0]])[0]
             with pytest.raises(FileNotFoundError):
                 engine.start_canary(tmp_path / "nope", FRACTION)
             assert engine.stats()["canary"] is None
-            assert engine.advise_full(SNIPPETS[0]) == before
+            assert engine.advise_v1([SNIPPETS[0]])[0] == before
 
     def test_invalid_fraction_rejected(self, checkpoints):
         a, b = checkpoints
@@ -178,7 +205,7 @@ class TestStartCanary:
         a, b = checkpoints
         with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as engine:
             engine.start_canary(b, FRACTION)
-            with pytest.raises(RuntimeError, match="canary"):
+            with pytest.raises(CanaryActive, match="canary"):
                 engine.reload(b)
 
 
@@ -188,18 +215,18 @@ class TestPromoteRollback:
         a, b = checkpoints
         _, exp_b = verdicts
         with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as engine:
-            engine.advise_full_many(SNIPPETS)   # cached under version "0"
-            engine.advise_full_many(SNIPPETS)   # provably cached
+            engine.advise_v1(SNIPPETS)   # cached under version "0"
+            engine.advise_v1(SNIPPETS)   # provably cached
             hits_before = engine.stats()["combined"]["cache_hits"]
             assert hits_before > 0
             version = engine.start_canary(b, FRACTION)
             engine.promote()
             assert engine.model_version == version
             assert engine.stats()["canary"] is None
-            got = engine.advise_full_many(SNIPPETS)  # all arms now B
+            got = engine.advise_v1(SNIPPETS)  # all arms now B
             for g, ref in zip(got, exp_b):
-                np.testing.assert_allclose(g.directive.probability,
-                                           ref.directive.probability,
+                np.testing.assert_allclose(g.probability,
+                                           ref.probability,
                                            atol=1e-6)
             # version-prefixed keys: the old primary's cached predictions
             # MISS after the promote — zero new hits
@@ -216,10 +243,10 @@ class TestPromoteRollback:
             engine.start_canary(b, FRACTION)
             engine.rollback()
             assert engine.model_version == "0"
-            got = engine.advise_full_many(SNIPPETS)  # all arms back to A
+            got = engine.advise_v1(SNIPPETS)  # all arms back to A
             for g, ref in zip(got, exp_a):
-                np.testing.assert_allclose(g.directive.probability,
-                                           ref.directive.probability,
+                np.testing.assert_allclose(g.probability,
+                                           ref.probability,
                                            atol=1e-6)
             assert engine.stats()["last_canary"]["outcome"] == "rolled_back"
 
@@ -244,7 +271,7 @@ class TestCanaryPolicy:
         with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as engine:
             version = engine.start_canary(same, 1.0, policy=policy)
             for code in SNIPPETS:
-                engine.advise_full_async(code)
+                engine.advise_v1_async(code)
             summary = engine.stats()["last_canary"]
             assert summary is not None and summary["outcome"] == "promoted"
             assert "policy" in summary["reason"]
@@ -258,7 +285,7 @@ class TestCanaryPolicy:
                               max_error_rate=1.0, auto_promote=True)
         with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as engine:
             engine.start_canary(b, 1.0, policy=policy)
-            engine.advise_full_many(SNIPPETS)
+            engine.advise_v1(SNIPPETS)
             summary = engine.stats()["last_canary"]
             # B's untrained weights all but surely disagree somewhere on 16
             # snippets; if they happened to agree the policy promoted — both
@@ -273,7 +300,7 @@ class TestCanaryPolicy:
         policy = CanaryPolicy(min_samples=10_000)
         with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as engine:
             engine.start_canary(b, 1.0, policy=policy)
-            engine.advise_full_many(SNIPPETS)
+            engine.advise_v1(SNIPPETS)
             assert engine.stats()["canary"] is not None  # still rolling out
 
     def test_policy_validation(self):
@@ -288,7 +315,7 @@ class TestCanaryPolicy:
 class TestCanaryUnderLiveTraffic:
     def test_promote_under_concurrent_async_load(self, checkpoints,
                                                  verdicts):
-        """The acceptance gate: concurrent ``advise_full_async`` clients
+        """The acceptance gate: concurrent ``advise_v1_async`` clients
         hammer the engine while ``start_canary`` → ``promote`` runs — zero
         dropped requests, deterministic arm assignment before, all-B after,
         zero stale cache hits (checked via the B reference verdicts)."""
@@ -303,7 +330,7 @@ class TestCanaryUnderLiveTraffic:
             try:
                 k = worker
                 while not stop.is_set():
-                    engine.advise_full_async(SNIPPETS[k % len(SNIPPETS)])
+                    engine.advise_v1_async(SNIPPETS[k % len(SNIPPETS)])
                     served[0] += 1
                     k += 1
             except Exception as exc:  # noqa: BLE001 — surfaced below
@@ -317,7 +344,7 @@ class TestCanaryUnderLiveTraffic:
             version = engine.start_canary(b, FRACTION)
             # let both arms serve real traffic mid-rollout
             for code in SNIPPETS:
-                engine.advise_full_async(code)
+                engine.advise_v1_async(code)
             arms = engine.stats()["canary"]["arms"]
             assert arms["canary"]["requests"] >= 1
             assert arms["primary"]["requests"] >= 1
@@ -330,10 +357,10 @@ class TestCanaryUnderLiveTraffic:
             assert served[0] > 0
             assert engine.model_version == version
             # post-promote verdicts are B's — on every snippet, both arms
-            got = engine.advise_full_many(SNIPPETS)
+            got = engine.advise_v1(SNIPPETS)
             for g, ref in zip(got, exp_b):
-                np.testing.assert_allclose(g.directive.probability,
-                                           ref.directive.probability,
+                np.testing.assert_allclose(g.probability,
+                                           ref.probability,
                                            atol=1e-6)
         finally:
             stop.set()
@@ -354,17 +381,17 @@ class TestShardedCanary:
                                     EngineConfig(max_batch_size=8))
         with ShardedEngine(factory, n_shards=2) as sharded:
             version = sharded.start_canary(b, FRACTION)
-            got = sharded.advise_full_many(SNIPPETS)
+            got = sharded.advise_v1(SNIPPETS)
             _assert_arm_split(got, exp_a, exp_b)
             stats = sharded.stats()
             assert stats["canary"]["version"] == version
             assert stats["canary"]["shards_live"] == 2
             assert stats["canary"]["arms"]["canary"]["requests"] >= 1
             assert sharded.promote() == version
-            got = sharded.advise_full_many(SNIPPETS)
+            got = sharded.advise_v1(SNIPPETS)
             for g, ref in zip(got, exp_b):
-                np.testing.assert_allclose(g.directive.probability,
-                                           ref.directive.probability,
+                np.testing.assert_allclose(g.probability,
+                                           ref.probability,
                                            atol=1e-5)
             stats = sharded.stats()
             assert stats["model_version"] == version
@@ -379,10 +406,10 @@ class TestShardedCanary:
         with ShardedEngine(factory, n_shards=2) as sharded:
             sharded.start_canary(b, FRACTION)
             sharded.rollback()
-            got = sharded.advise_full_many(SNIPPETS)
+            got = sharded.advise_v1(SNIPPETS)
             for g, ref in zip(got, exp_a):
-                np.testing.assert_allclose(g.directive.probability,
-                                           ref.directive.probability,
+                np.testing.assert_allclose(g.probability,
+                                           ref.probability,
                                            atol=1e-5)
             assert sharded.stats()["canary"] is None
 
@@ -392,7 +419,7 @@ class TestShardedCanary:
                                     EngineConfig(max_batch_size=8))
         with ShardedEngine(factory, n_shards=2) as sharded:
             sharded.start_canary(b, FRACTION)
-            with pytest.raises(RuntimeError, match="canary"):
+            with pytest.raises(CanaryActive, match="canary"):
                 sharded.reload(b)
 
     def test_grown_worker_replays_canary(self, checkpoints, verdicts):
@@ -413,7 +440,7 @@ class TestShardedCanary:
             def client():
                 while not stop.is_set():
                     try:
-                        sharded.advise_full_many(SNIPPETS)
+                        sharded.advise_v1(SNIPPETS)
                     except Exception as exc:  # noqa: BLE001
                         errors.append(exc)
                         return
@@ -436,7 +463,7 @@ class TestShardedCanary:
             stats = sharded.stats()
             assert stats["canary"]["shards_live"] == 2
             assert stats["canary"]["version"] == version
-            got = sharded.advise_full_many(SNIPPETS)
+            got = sharded.advise_v1(SNIPPETS)
             _assert_arm_split(got, exp_a, exp_b)
 
 

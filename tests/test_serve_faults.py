@@ -28,7 +28,8 @@ from repro.serve import (
     ChaosConfig,
     CheckpointWatcher,
     EngineConfig,
-    InferenceEngine,
+    ModelRegistry,
+    MultiModelEngine,
     ShardedEngine,
     SupervisorConfig,
     make_server,
@@ -78,10 +79,17 @@ def factory(model_and_vocab):
     model, vocab = model_and_vocab
 
     def build():
-        return InferenceEngine(model, vocab, max_len=TINY.max_len,
-                               config=EngineConfig(max_batch_size=8))
+        registry = ModelRegistry()
+        registry.register("directive", model, vocab, max_len=TINY.max_len)
+        return MultiModelEngine(registry,
+                                config=EngineConfig(max_batch_size=8))
 
     return build
+
+
+def _probs(results):
+    """Directive P(+) column of a list of AdviceResults."""
+    return np.array([res.probability for res in results])
 
 
 def wait_until(predicate, timeout=15.0, interval=0.05):
@@ -126,11 +134,11 @@ class TestWorkerFaults:
         """A worker killed mid-trace: its sub-batch lands on a healthy
         shard and the answers are real — then the supervisor respawns the
         slot and the fleet returns to full strength."""
-        expected = factory().predict_proba(SNIPPETS)
+        expected = _probs(factory().advise_v1(SNIPPETS))
         chaos = ChaosConfig(kill_at=(0,), slots=(1,))
         with ShardedEngine(factory, n_shards=4, chaos=chaos,
                            supervisor=SupervisorConfig(**FAST)) as sharded:
-            got = sharded.predict_proba(SNIPPETS)
+            got = _probs(sharded.advise_v1(SNIPPETS))
             np.testing.assert_allclose(got, expected, atol=1e-5)
             sup = sharded.stats()["supervisor"]
             assert sup["faults"] >= 1 and sup["retries"] >= 1
@@ -140,7 +148,7 @@ class TestWorkerFaults:
                                    for w in sharded._workers[:4]))
             # the healed fleet serves without new faults
             faults_before = sharded.stats()["supervisor"]["faults"]
-            np.testing.assert_allclose(sharded.predict_proba(SNIPPETS),
+            np.testing.assert_allclose(_probs(sharded.advise_v1(SNIPPETS)),
                                        expected, atol=1e-5)
             assert sharded.stats()["supervisor"]["faults"] == faults_before
 
@@ -149,12 +157,12 @@ class TestWorkerFaults:
         fires, the retry answers for real, and the heartbeat terminates +
         respawns the hung process."""
         code = code_on_shard(0, 2)
-        expected = factory().advise_many([code])[0]
+        expected = factory().advise_v1([code])[0]
         chaos = ChaosConfig(hang_at=(0,), slots=(0,), hang_s=3600.0)
         cfg = SupervisorConfig(**{**FAST, "request_timeout_s": 1.0})
         with ShardedEngine(factory, n_shards=2, chaos=chaos,
                            supervisor=cfg) as sharded:
-            got = sharded.advise_many([code])[0]
+            got = sharded.advise_v1([code])[0]
             assert not got.degraded
             assert got.probability == pytest.approx(expected.probability,
                                                     abs=1e-5)
@@ -169,13 +177,13 @@ class TestWorkerFaults:
         class that used to hang ``_scatter_call`` forever — now costs one
         deadline and the retry answers for real."""
         code = code_on_shard(1, 2)
-        expected = factory().advise_many([code])[0]
+        expected = factory().advise_v1([code])[0]
         chaos = ChaosConfig(drop_at=(0,), slots=(1,))
         cfg = SupervisorConfig(**{**FAST, "request_timeout_s": 1.0})
         with ShardedEngine(factory, n_shards=2, chaos=chaos,
                            supervisor=cfg) as sharded:
             start = time.monotonic()
-            got = sharded.advise_many([code])[0]
+            got = sharded.advise_v1([code])[0]
             assert time.monotonic() - start < 10.0  # bounded, not forever
             assert not got.degraded
             assert got.probability == pytest.approx(expected.probability,
@@ -188,11 +196,11 @@ class TestWorkerFaults:
     def test_malformed_reply_is_a_fault_not_an_answer(self, factory):
         """A garbled IPC payload must never be scattered into results."""
         code = code_on_shard(0, 2)
-        expected = factory().advise_many([code])[0]
+        expected = factory().advise_v1([code])[0]
         chaos = ChaosConfig(malformed_at=(0,), slots=(0,))
         with ShardedEngine(factory, n_shards=2, chaos=chaos,
                            supervisor=SupervisorConfig(**FAST)) as sharded:
-            got = sharded.advise_many([code])[0]
+            got = sharded.advise_v1([code])[0]
             assert not isinstance(got, str) and not got.degraded
             assert got.probability == pytest.approx(expected.probability,
                                                     abs=1e-5)
@@ -202,7 +210,7 @@ class TestWorkerFaults:
         chaos = ChaosConfig(slow_at=(0,), slots=(0,), slow_s=0.2)
         with ShardedEngine(factory, n_shards=2, chaos=chaos,
                            supervisor=SupervisorConfig(**FAST)) as sharded:
-            sharded.predict_proba(SNIPPETS)
+            sharded.advise_v1(SNIPPETS)
             sup = sharded.stats()["supervisor"]
             assert sup["faults"] == 0 and sup["deadline_exceeded"] == 0
             assert sup["degraded_answers"] == 0
@@ -215,7 +223,7 @@ class TestWorkerFaults:
         must keep getting real answers — never an exception, never an
         unbounded respawn storm."""
         code = code_on_shard(0, 2)
-        expected = factory().advise_many([code])[0]
+        expected = factory().advise_v1([code])[0]
         chaos = ChaosConfig(kill_at=(0,), slots=(0,), rearm=True)
         # budget 0: the first revive of a crashed slot already marks it
         # degraded, so the test observes the degrade path deterministically
@@ -234,7 +242,7 @@ class TestWorkerFaults:
             def hammer():  # keeps re-crashing the re-armed slot
                 while not stop.is_set():
                     try:
-                        answers.append(sharded.advise_many([code])[0])
+                        answers.append(sharded.advise_v1([code])[0])
                     except Exception as exc:  # noqa: BLE001 — assert below
                         errors.append(exc)
                         return
@@ -267,7 +275,7 @@ class TestWorkerFaults:
         cfg = SupervisorConfig(**{**FAST, "heartbeat_interval_s": 0})
         with ShardedEngine(factory, n_shards=2, chaos=chaos,
                            supervisor=cfg) as sharded:
-            sharded.predict_proba(SNIPPETS)  # kills slot 0, answers anyway
+            sharded.advise_v1(SNIPPETS)  # kills slot 0, answers anyway
             stats = sharded.stats()
             assert len(stats["shards"]) == 2
             assert any("error" in s for s in stats["shards"])
@@ -279,13 +287,13 @@ class TestLifecycleUnderFaults:
     def test_close_tolerates_dead_workers(self, factory):
         """close() on a half-dead fleet: reap without raising, bounded
         joins, queues released, idempotent."""
-        expected = factory().predict_proba(SNIPPETS)
+        expected = _probs(factory().advise_v1(SNIPPETS))
         chaos = ChaosConfig(kill_at=(0,), slots=(0, 1))
         cfg = SupervisorConfig(**{**FAST, "request_timeout_s": 2.0,
                                   "heartbeat_interval_s": 0})
         sharded = ShardedEngine(factory, n_shards=2, chaos=chaos,
                                 supervisor=cfg)
-        got = sharded.predict_proba(SNIPPETS)  # both workers die serving it
+        got = _probs(sharded.advise_v1(SNIPPETS))  # both workers die serving it
         np.testing.assert_allclose(got, expected, atol=1e-5)  # fallback
         assert sharded.stats()["supervisor"]["fallback_answers"] == len(
             SNIPPETS)
@@ -300,7 +308,7 @@ class TestLifecycleUnderFaults:
         not resurrect a slot the autoscaler retired."""
         code1 = code_on_shard(1, 2)
         code0 = code_on_shard(0, 2)
-        expected = factory().advise_many([code1])[0]
+        expected = factory().advise_v1([code1])[0]
         # slot 1's first serving call takes ~1s; the construction-time
         # cooldown (0.3s) guarantees the shrink decision fires while that
         # call is still in flight on the slot being retired
@@ -313,12 +321,12 @@ class TestLifecycleUnderFaults:
         with ShardedEngine(factory, n_shards=2, autoscale=auto, chaos=chaos,
                            supervisor=sup) as sharded:
             t = threading.Thread(target=lambda: results.append(
-                sharded.advise_many([code1])[0]))
+                sharded.advise_v1([code1])[0]))
             t.start()
             time.sleep(0.1)  # the slow call is now in flight on slot 1
             deadline = time.monotonic() + 10.0
             while sharded.n_shards == 2 and time.monotonic() < deadline:
-                sharded.advise_many([code0])
+                sharded.advise_v1([code0])
                 time.sleep(0.02)
             t.join(timeout=15.0)
             assert not t.is_alive()
@@ -527,7 +535,7 @@ class TestChaosSmoke:
         """The acceptance scenario: 4 shards, a seeded kill and hang in
         the trace — every request answered (answered fraction = 1.0),
         zero hangs, zero lost replies, fleet back to full strength."""
-        expected = factory().predict_proba(SNIPPETS)
+        expected = _probs(factory().advise_v1(SNIPPETS))
         chaos = ChaosConfig.seeded(42, n_calls=4, kills=1, hangs=1,
                                    slots=(1, 3), hang_s=3600.0)
         cfg = SupervisorConfig(**{**FAST, "request_timeout_s": 1.0})
@@ -536,8 +544,8 @@ class TestChaosSmoke:
         with ShardedEngine(factory, n_shards=4, chaos=chaos,
                            supervisor=cfg) as sharded:
             for _ in range(rounds):
-                got = sharded.predict_proba(SNIPPETS)  # must never raise
-                assert got.shape == (len(SNIPPETS), 2)
+                got = _probs(sharded.advise_v1(SNIPPETS))  # never raises
+                assert got.shape == (len(SNIPPETS),)
                 assert np.isfinite(got).all()
                 answered += len(SNIPPETS)
             assert answered == rounds * len(SNIPPETS)  # fraction = 1.0
@@ -547,5 +555,5 @@ class TestChaosSmoke:
             wait_until(lambda: all(w.is_alive()
                                    for w in sharded._workers[:4]))
             # healed: a full round serves clean
-            np.testing.assert_allclose(sharded.predict_proba(SNIPPETS),
+            np.testing.assert_allclose(_probs(sharded.advise_v1(SNIPPETS)),
                                        expected, atol=1e-5)

@@ -380,6 +380,45 @@ class TestErrorHandling:
         finally:
             conn.close()
 
+    def test_get_with_body_keeps_the_connection_in_sync(self, server_url):
+        """A body sent with a route that does not read it is discarded:
+        the next request on the keep-alive connection parses cleanly."""
+        import http.client
+
+        host, port = server_url.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            conn.request("GET", "/v1/healthz", body=b'{"probe": true}')
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert json.loads(resp.read())["status"] == "ok"
+            conn.request("GET", "/v1/stats")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert "engine" in json.loads(resp.read())
+        finally:
+            conn.close()
+
+    def test_oversized_unread_body_closes_connection(self, server_url):
+        """A declared body above max_body_bytes on a body-less route is
+        not read; the reply closes the connection instead."""
+        import http.client
+
+        from repro.serve.http_api import MAX_BODY_BYTES
+
+        host, port = server_url.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            conn.putrequest("GET", "/healthz")
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert resp.getheader("Connection") == "close"
+            resp.read()
+        finally:
+            conn.close()
+
     def test_healthz_unhealthy_when_workers_dead(self):
         """A sharded advisor whose workers all crashed must fail the
         liveness probe, not answer 200 with an empty head list."""
@@ -472,6 +511,33 @@ class TestCanaryEndpoints:
         assert stats["engine"]["last_canary"]["outcome"] == "promoted"
         assert stats["http"]["canary"] == 1
         assert stats["http"]["canary_promote"] == 1
+
+    def test_promote_with_body_keeps_the_connection_in_sync(
+            self, canary_setup):
+        """``/v1/canary/promote`` takes no body; one sent anyway must not
+        be parsed as the next request on the keep-alive connection."""
+        import http.client
+
+        url, _, ckpt_b = canary_setup
+        assert self._post_status(
+            url + "/canary", {"path": str(ckpt_b), "fraction": 0.5})[0] == 200
+        host, port = url.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            conn.request("POST", "/v1/canary/promote",
+                         body=json.dumps({"reason": "looks good"}),
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert json.loads(resp.read())["status"] == "promoted"
+            conn.request("POST", "/v1/advise",
+                         body=json.dumps({"code": SNIPPETS[0]}),
+                         headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert "needs_directive" in json.loads(resp.read())
+        finally:
+            conn.close()
 
     def test_rollback_and_conflict_statuses(self, canary_setup):
         url, advisor, ckpt_b = canary_setup

@@ -1,4 +1,4 @@
-"""Tests for the multi-model registry and combined advise_full path."""
+"""Tests for the multi-model registry and its advise_v1 pipeline."""
 
 from dataclasses import replace
 
@@ -9,8 +9,8 @@ from repro.data.encoding import encode_batch
 from repro.models import PragFormer, load_advisor, save_advisor
 from repro.models.pragformer import PragFormerConfig
 from repro.serve import (
+    AdviceResult,
     EngineConfig,
-    FullAdvice,
     ModelRegistry,
     MultiModelEngine,
 )
@@ -77,19 +77,20 @@ class TestModelRegistry:
 
 class TestAdviseFull:
     def test_shape_and_types(self, advisor):
-        full = advisor.advise_full(SNIPPETS[0])
-        assert isinstance(full, FullAdvice)
+        full = advisor.advise_v1([SNIPPETS[0]])[0]
+        assert isinstance(full, AdviceResult)
         assert set(full.clauses) == {"private", "reduction"}
         body = full.as_dict()
         assert set(body) == {"needs_directive", "p_directive", "clauses",
-                             "recommended_clauses", "degraded"}
+                             "recommended_clauses", "degraded", "recovered",
+                             "model_version", "arm"}
         assert body["degraded"] is False  # a real prediction, not a stub
         for clause in body["clauses"].values():
             assert set(clause) == {"probability", "suggested"}
 
     def test_clause_head_parity_with_direct_predict(self, advisor, registry):
         """Engine output must equal the clause model's own predict_proba."""
-        full = advisor.advise_full_many(SNIPPETS)
+        full = advisor.advise_v1(SNIPPETS)
         for name in ("private", "reduction"):
             head = registry.get(name)
             split = encode_batch([text_tokens(c) for c in SNIPPETS],
@@ -98,28 +99,13 @@ class TestAdviseFull:
             engine_probs = [f.clauses[name].probability for f in full]
             np.testing.assert_allclose(engine_probs, direct, atol=1e-5)
 
-    def test_directive_parity_with_single_head_paths(self, advisor):
-        full = advisor.advise_full_many(SNIPPETS)
-        directive_only = advisor.advise_many(SNIPPETS)
-        assert [f.directive for f in full] == directive_only
-
     def test_clauses_only_recommended_when_directive_positive(self, advisor):
-        for full in advisor.advise_full_many(SNIPPETS):
-            if not full.directive.needs_directive:
+        for full in advisor.advise_v1(SNIPPETS):
+            if not full.verdict:
                 assert full.recommended_clauses() == []
             else:
                 assert full.recommended_clauses() == [
                     n for n, c in full.clauses.items() if c.suggested]
-
-    def test_precomputed_directive_skips_rescoring(self, advisor):
-        directive = advisor.advise_many(SNIPPETS)
-        before = advisor.directive_engine.stats.requests
-        full = advisor.advise_full_many(SNIPPETS, directive=directive)
-        # the directive head saw no new requests; verdicts are passed through
-        assert advisor.directive_engine.stats.requests == before
-        assert [f.directive for f in full] == directive
-        with pytest.raises(ValueError, match="1:1"):
-            advisor.advise_full_many(SNIPPETS, directive=directive[:1])
 
     def test_snippets_lexed_once_across_heads(self, registry):
         calls = []
@@ -129,14 +115,14 @@ class TestAdviseFull:
             return text_tokens(code)
 
         with MultiModelEngine(registry, tokenizer=counting_tokenizer) as eng:
-            eng.advise_full_many(SNIPPETS * 2)
-            eng.advise_full_many(SNIPPETS)
+            eng.advise_v1(SNIPPETS * 2)
+            eng.advise_v1(SNIPPETS)
         # three heads, repeated traffic: each distinct snippet lexed once
         assert len(calls) == len(SNIPPETS)
         assert eng.lex_memo.lexed == len(SNIPPETS)
 
     def test_stats_structure(self, advisor):
-        advisor.advise_full_many(SNIPPETS)
+        advisor.advise_v1(SNIPPETS)
         stats = advisor.stats()
         assert set(stats["heads"]) == {"directive", "private", "reduction"}
         combined = stats["combined"]
@@ -155,27 +141,27 @@ class TestClauseGating:
 
     def test_gated_and_ungated_agree_on_fanned_snippets(self, registry,
                                                         advisor):
-        ungated = advisor.advise_full_many(SNIPPETS)
+        ungated = advisor.advise_v1(SNIPPETS)
         with self._gated(registry, 0.0) as gated_engine:
-            gated = gated_engine.advise_full_many(SNIPPETS)
+            gated = gated_engine.advise_v1(SNIPPETS)
         for u, g in zip(ungated, gated):
-            assert g.directive == u.directive
+            assert (g.verdict, g.probability) == (u.verdict, u.probability)
             if g.clauses:  # fanned out: clause verdicts must be identical
                 for name in u.clauses:
                     np.testing.assert_allclose(
                         g.clauses[name].probability,
                         u.clauses[name].probability, atol=1e-6)
             else:          # gated out: only directive-negative snippets
-                assert not g.directive.needs_directive
+                assert not g.verdict
             assert g.recommended_clauses() == u.recommended_clauses()
 
     def test_negative_snippets_skip_clause_heads(self, registry, advisor):
-        directive = advisor.advise_many(SNIPPETS)
-        n_negative = sum(not a.needs_directive for a in directive)
+        directive = advisor.advise_v1(SNIPPETS)
+        n_negative = sum(not a.verdict for a in directive)
         n_positive = len(SNIPPETS) - n_negative
         assert n_negative, "workload must contain directive-negative snippets"
         with self._gated(registry, 0.0) as engine:
-            engine.advise_full_many(SNIPPETS)
+            engine.advise_v1(SNIPPETS)
             stats = engine.stats()
             for name in ("private", "reduction"):
                 assert stats["heads"][name]["requests"] == n_positive
@@ -188,20 +174,19 @@ class TestClauseGating:
         """With a margin spanning the whole [0, 1] range every snippet
         fans out, however negative its directive verdict."""
         with self._gated(registry, 0.5) as engine:
-            full = engine.advise_full_many(SNIPPETS)
+            full = engine.advise_v1(SNIPPETS)
             assert all(set(f.clauses) == {"private", "reduction"}
                        for f in full)
             assert engine.stats()["clause_gating"]["gated_snippets"] == 0
 
     def test_async_path_gates_identically(self, registry, advisor):
-        expected = advisor.advise_full_many(SNIPPETS)
+        expected = advisor.advise_v1(SNIPPETS)
         with self._gated(registry, 0.0) as engine:
             for code, exp in zip(SNIPPETS, expected):
-                got = engine.advise_full_async(code, timeout=30)
-                np.testing.assert_allclose(got.directive.probability,
-                                           exp.directive.probability,
+                got = engine.advise_v1_async(code, timeout=30)
+                np.testing.assert_allclose(got.probability, exp.probability,
                                            atol=1e-6)
-                if exp.directive.needs_directive:
+                if exp.verdict:
                     assert set(got.clauses) == set(exp.clauses)
                     for name in exp.clauses:
                         np.testing.assert_allclose(
@@ -211,7 +196,7 @@ class TestClauseGating:
                     assert got.clauses == {}
 
     def test_gating_disabled_by_default(self, advisor):
-        advisor.advise_full_many(SNIPPETS)
+        advisor.advise_v1(SNIPPETS)
         gating = advisor.stats()["clause_gating"]
         assert gating["enabled"] is False
         assert gating["gated_snippets"] == 0
@@ -235,7 +220,7 @@ class TestFromContext:
         registry = ModelRegistry.from_context(ExperimentContext(scale))
         assert registry.names() == ["directive", "private", "reduction"]
         with MultiModelEngine(registry) as advisor:
-            full = advisor.advise_full("for (i = 0; i < n; i++) s += a[i];")
+            full = advisor.advise_v1(["for (i = 0; i < n; i++) s += a[i];"])[0]
         body = full.as_dict()
         assert set(body["clauses"]) == {"private", "reduction"}
         assert 0.0 <= body["p_directive"] <= 1.0
@@ -243,16 +228,16 @@ class TestFromContext:
 
 class TestAdvisorCheckpoint:
     def test_save_load_roundtrip(self, registry, advisor, tmp_path):
-        expected = advisor.advise_full_many(SNIPPETS)
+        expected = advisor.advise_v1(SNIPPETS)
         registry.save(tmp_path / "advisor")
         reloaded = ModelRegistry.from_checkpoint(tmp_path / "advisor")
         assert reloaded.names() == registry.names()
         with MultiModelEngine(reloaded) as eng:
-            got = eng.advise_full_many(SNIPPETS)
+            got = eng.advise_v1(SNIPPETS)
         for a, b in zip(expected, got):
-            assert a.directive.needs_directive == b.directive.needs_directive
-            np.testing.assert_allclose(a.directive.probability,
-                                       b.directive.probability, atol=1e-5)
+            assert a.verdict == b.verdict
+            np.testing.assert_allclose(a.probability, b.probability,
+                                       atol=1e-5)
             for name in a.clauses:
                 np.testing.assert_allclose(a.clauses[name].probability,
                                            b.clauses[name].probability,

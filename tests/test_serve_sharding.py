@@ -19,10 +19,9 @@ from repro.models import PragFormer
 from repro.models.pragformer import PragFormerConfig
 from repro.models.persistence import WEIGHTS_NAME_PREFIX
 from repro.serve import (
-    Advice,
+    AdviceResult,
     AutoscaleConfig,
     EngineConfig,
-    InferenceEngine,
     ModelRegistry,
     MultiModelEngine,
     RollingMean,
@@ -53,15 +52,23 @@ def model_and_vocab():
     return PragFormer(len(vocab), TINY), vocab
 
 
+def _directive_engine(model, vocab, config=None):
+    """A directive-only MultiModelEngine — the smallest fleet worker."""
+    registry = ModelRegistry()
+    registry.register("directive", model, vocab, max_len=TINY.max_len)
+    return MultiModelEngine(registry, config=config)
+
+
+def _probs(results):
+    """Directive P(+) column of a list of AdviceResults."""
+    return np.array([res.probability for res in results])
+
+
 @pytest.fixture(scope="module")
 def factory(model_and_vocab):
     model, vocab = model_and_vocab
-
-    def build():
-        return InferenceEngine(model, vocab, max_len=TINY.max_len,
-                               config=EngineConfig(max_batch_size=8))
-
-    return build
+    return functools.partial(_directive_engine, model, vocab,
+                             EngineConfig(max_batch_size=8))
 
 
 class TestRouting:
@@ -83,7 +90,7 @@ class TestRouting:
     def test_duplicates_land_on_one_shard(self, factory):
         code = SNIPPETS[0]
         with ShardedEngine(factory, n_shards=4) as sharded:
-            sharded.predict_proba([code] * 6)
+            sharded.advise_v1([code] * 6)
             routed = sharded.routed
         target = shard_of(code, 4)
         assert routed[target] == 6
@@ -100,9 +107,9 @@ class TestFallbackSingleShard:
             sharded.close()
 
     def test_matches_unsharded_engine(self, factory):
-        expected = factory().predict_proba(SNIPPETS)
+        expected = _probs(factory().advise_v1(SNIPPETS))
         with ShardedEngine(factory, n_shards=1) as sharded:
-            np.testing.assert_allclose(sharded.predict_proba(SNIPPETS),
+            np.testing.assert_allclose(_probs(sharded.advise_v1(SNIPPETS)),
                                        expected, atol=1e-5)
 
     def test_rejects_nonpositive_shards(self, factory):
@@ -113,33 +120,29 @@ class TestFallbackSingleShard:
 class TestMultiProcess:
     @pytest.mark.parametrize("n_shards", [2, 3])
     def test_predictions_match_unsharded(self, factory, n_shards):
-        expected = factory().predict_proba(SNIPPETS)
+        expected = _probs(factory().advise_v1(SNIPPETS))
         with ShardedEngine(factory, n_shards=n_shards) as sharded:
-            got = sharded.predict_proba(SNIPPETS)
+            got = _probs(sharded.advise_v1(SNIPPETS))
         np.testing.assert_allclose(got, expected, atol=1e-5)
 
     def test_advise_many_order_preserved(self, factory):
-        expected = factory().advise_many(SNIPPETS)
+        expected = factory().advise_v1(SNIPPETS)
         with ShardedEngine(factory, n_shards=2) as sharded:
-            got = sharded.advise_many(SNIPPETS)
-        assert all(isinstance(a, Advice) for a in got)
+            got = sharded.advise_v1(SNIPPETS)
+        assert all(isinstance(a, AdviceResult) for a in got)
         for a, b in zip(got, expected):
             np.testing.assert_allclose(a.probability, b.probability, atol=1e-5)
-            assert a.needs_directive == b.needs_directive
+            assert a.verdict == b.verdict
 
     def test_empty_batch(self, factory):
-        from repro.nn.dtype import get_dtype
-
         with ShardedEngine(factory, n_shards=2) as sharded:
-            empty = sharded.predict_proba([])
-            assert empty.shape == (0, 2)
-            # float32-pure like the in-process engine, not float64
-            assert empty.dtype == get_dtype()
+            assert sharded.advise_v1([]) == []
+            assert sum(sharded.routed) == 0
 
     def test_stats_aggregation(self, factory):
         with ShardedEngine(factory, n_shards=2) as sharded:
-            sharded.predict_proba(SNIPPETS)
-            sharded.predict_proba(SNIPPETS)  # warm pass: all LRU hits
+            sharded.advise_v1(SNIPPETS)
+            sharded.advise_v1(SNIPPETS)  # warm pass: all LRU hits
             stats = sharded.stats()
         assert stats["n_shards"] == 2
         assert sum(stats["routed"]) == 2 * len(SNIPPETS)
@@ -153,13 +156,14 @@ class TestMultiProcess:
         model, vocab = model_and_vocab
 
         def broken_factory():
-            engine = InferenceEngine(model, vocab, max_len=TINY.max_len)
-            engine.predict_proba = None  # not callable -> worker-side error
+            engine = _directive_engine(model, vocab)
+            # not callable -> worker-side error
+            engine.directive_engine.predict_proba = None
             return engine
 
         with ShardedEngine(broken_factory, n_shards=2) as sharded:
             with pytest.raises(RuntimeError, match="shard"):
-                sharded.predict_proba(SNIPPETS)
+                sharded.advise_v1(SNIPPETS)
 
     def test_no_stale_responses_after_one_shard_fails(self, model_and_vocab,
                                                       factory):
@@ -174,39 +178,38 @@ class TestMultiProcess:
                     if shard_of(f"BOOM {i}", 2) != shard_of(other[0], 2))
 
         def selective_factory():
-            engine = InferenceEngine(model, vocab, max_len=TINY.max_len)
-            real = engine.advise_many
+            engine = _directive_engine(model, vocab)
+            real = engine.advise_v1
 
-            def advise_many(codes):
+            def advise_v1(codes):
                 if any("BOOM" in c for c in codes):
                     raise ValueError("boom")
                 return real(codes)
 
-            engine.advise_many = advise_many
-            engine.codec = None  # BOOM marker is text-only: pin to queues
+            engine.advise_v1 = advise_v1
             return engine
 
-        expected = factory().advise_many(other)
+        expected = factory().advise_v1(other)
         lookup = dict(zip(other, expected))
         with ShardedEngine(selective_factory, n_shards=2) as sharded:
             with pytest.raises(RuntimeError, match="shard"):
-                sharded.advise_many([boom, other[0]])
+                sharded.advise_v1([boom, other[0]])
             # the healthy shard's reply for other[0] must have been drained:
             # a fresh call must return advice for its own snippet
-            got = sharded.advise_many([other[1]])[0]
+            got = sharded.advise_v1([other[1]])[0]
             np.testing.assert_allclose(got.probability,
                                        lookup[other[1]].probability, atol=1e-5)
 
     def test_concurrent_bulk_calls_do_not_cross_talk(self, factory):
         import threading
 
-        expected = factory().predict_proba(SNIPPETS)
+        expected = _probs(factory().advise_v1(SNIPPETS))
         errors = []
         with ShardedEngine(factory, n_shards=2) as sharded:
             def hammer():
                 try:
                     for _ in range(5):
-                        got = sharded.predict_proba(SNIPPETS)
+                        got = _probs(sharded.advise_v1(SNIPPETS))
                         np.testing.assert_allclose(got, expected, atol=1e-5)
                 except Exception as exc:  # noqa: BLE001 — collected for assert
                     errors.append(exc)
@@ -231,11 +234,11 @@ class TestMultiProcess:
                                heartbeat_interval_s=0)
         with ShardedEngine(crashing_factory, n_shards=2,
                            supervisor=cfg) as sharded:
-            proba = sharded.predict_proba(SNIPPETS)
+            proba = _probs(sharded.advise_v1(SNIPPETS))
             np.testing.assert_allclose(proba, 0.5)
-            advice = sharded.advise_many(SNIPPETS[:2])
+            advice = sharded.advise_v1(SNIPPETS[:2])
             assert all(a.degraded for a in advice)
-            assert all(not a.needs_directive for a in advice)
+            assert all(not a.verdict and not a.clauses for a in advice)
             sup = sharded.stats()["supervisor"]
             assert sup["degraded_answers"] == len(SNIPPETS) + 2
             assert sup["faults"] >= 2
@@ -256,17 +259,13 @@ class TestMultiProcess:
         with ShardedEngine(multi_factory, n_shards=1) as local:
             assert local.head_names() == ["directive", "private"]
 
-    def test_single_model_head_names_empty(self, factory):
-        with ShardedEngine(factory, n_shards=1) as sharded:
-            assert sharded.head_names() == []
-
     def test_close_idempotent_and_rejects_use(self, factory):
         sharded = ShardedEngine(factory, n_shards=2)
-        sharded.predict_proba(SNIPPETS[:2])
+        sharded.advise_v1(SNIPPETS[:2])
         sharded.close()
         sharded.close()
         with pytest.raises(RuntimeError, match="closed"):
-            sharded.predict_proba(SNIPPETS[:2])
+            sharded.advise_v1(SNIPPETS[:2])
         with pytest.raises(RuntimeError, match="closed"):
             sharded.stats()
         with pytest.raises(RuntimeError, match="closed"):
@@ -330,7 +329,7 @@ class TestAutoscaling:
         def client():
             while not stop.is_set():
                 try:
-                    sharded.advise_many(SNIPPETS)
+                    sharded.advise_v1(SNIPPETS)
                 except Exception as exc:  # noqa: BLE001 — surfaced below
                     errors.append(exc)
                     return
@@ -350,7 +349,7 @@ class TestAutoscaling:
     def test_grows_under_burst_and_shrinks_when_idle(self, factory):
         """The acceptance gate: a bursty trace resizes the fleet between
         the configured bounds, with correct predictions throughout."""
-        expected = factory().predict_proba(SNIPPETS)
+        expected = _probs(factory().advise_v1(SNIPPETS))
         with ShardedEngine(factory, n_shards=1,
                            autoscale=self._burst_cfg()) as sharded:
             assert sharded.n_shards == 1
@@ -358,13 +357,13 @@ class TestAutoscaling:
                                       lambda: sharded.n_shards == 3)
             assert grew, "burst load must grow the fleet to max_shards"
             # predictions remain correct on the re-routed fleet
-            np.testing.assert_allclose(sharded.predict_proba(SNIPPETS),
+            np.testing.assert_allclose(_probs(sharded.advise_v1(SNIPPETS)),
                                        expected, atol=1e-5)
             # sequential traffic samples an empty backlog -> shrink to min
             deadline = time.monotonic() + 45.0
             while sharded.n_shards > 1 and time.monotonic() < deadline:
                 np.testing.assert_allclose(
-                    sharded.predict_proba(SNIPPETS), expected, atol=1e-5)
+                    _probs(sharded.advise_v1(SNIPPETS)), expected, atol=1e-5)
             assert sharded.n_shards == 1, "idle fleet must shrink to min"
             stats = sharded.stats()
             scaler = stats["autoscaler"]
@@ -382,7 +381,7 @@ class TestAutoscaling:
         with ShardedEngine(factory, n_shards=1, autoscale=cfg) as sharded:
             assert sharded.n_shards == 2  # clamped up at construction
             for _ in range(10):  # idle traffic: would shrink if allowed
-                sharded.advise_many(SNIPPETS[:2])
+                sharded.advise_v1(SNIPPETS[:2])
             assert sharded.n_shards == 2
 
     def test_autoscale_forces_multiprocess_mode(self, factory):
@@ -401,7 +400,7 @@ class TestAutoscaling:
 
     def test_fixed_engine_reports_no_autoscaler(self, factory):
         with ShardedEngine(factory, n_shards=2) as sharded:
-            sharded.predict_proba(SNIPPETS)
+            sharded.advise_v1(SNIPPETS)
             assert "autoscaler" not in sharded.stats()
 
 
@@ -451,13 +450,13 @@ class TestQueueDataPlane:
         reply present, in order, and matching the reference engine."""
         trace = [f"for (i = 0; i < n; i++) a[i] = b[i] * {k} + c[i % {k + 2}];"
                  for k in range(100)]
-        expected = factory().predict_proba(trace)
+        expected = _probs(factory().advise_v1(trace))
         errors = []
         with ShardedEngine(factory, n_shards=4) as sharded:
             def producer():
                 try:
                     for _ in range(5):  # 5 x 100 snippets per producer
-                        got = sharded.predict_proba(trace)
+                        got = _probs(sharded.advise_v1(trace))
                         assert got.shape == expected.shape
                         np.testing.assert_allclose(got, expected, atol=1e-5)
                 except Exception as exc:  # noqa: BLE001 — assert below
@@ -482,18 +481,18 @@ class TestQueueDataPlane:
         a, b = checkpoints
         trace = SNIPPETS * 4
         with MultiModelEngine(ModelRegistry.from_checkpoint(a)) as ref_a:
-            before = ref_a.advise_full_many(trace)
+            before = ref_a.advise_v1(trace)
         with MultiModelEngine(ModelRegistry.from_checkpoint(b)) as ref_b:
-            after = ref_b.advise_full_many(trace)
+            after = ref_b.advise_v1(trace)
         with ShardedEngine(functools.partial(_build_multi, str(a)),
                            n_shards=2) as sharded:
-            got_before = sharded.advise_full_many(trace)
+            got_before = sharded.advise_v1(trace)
             version = sharded.reload(b)
-            got_after = sharded.advise_full_many(trace)
+            got_after = sharded.advise_v1(trace)
             assert sharded.stats()["model_version"] == version
         for got, want in ((got_before, before), (got_after, after)):
             for g, w in zip(got, want):
-                assert g.directive.probability == w.directive.probability
+                assert g.probability == w.probability
                 assert g.clauses == w.clauses
 
     def test_gating_counters_match_in_process_engine(self, checkpoints):
@@ -504,11 +503,11 @@ class TestQueueDataPlane:
         config = EngineConfig(gate_margin=0.0, max_snippet_bytes=512)
         trace = SNIPPETS + DIRTY + [OVERSIZE]
         with _build_multi(str(a), config) as local:
-            expected = local.advise_full_many(trace)
+            expected = local.advise_v1(trace)
             gating = local.stats()["clause_gating"]
         with ShardedEngine(functools.partial(_build_multi, str(a), config),
                            n_shards=2) as sharded:
-            got = sharded.advise_full_many(trace)
+            got = sharded.advise_v1(trace)
             shards = sharded.stats()["shards"]
         fleet = {key: sum(s["clause_gating"][key] for s in shards)
                  for key in ("gated_snippets", "fanned_out")}
@@ -519,14 +518,14 @@ class TestQueueDataPlane:
         assert got[-1].degraded and expected[-1].degraded
         for g, e in zip(got, expected):
             # batch composition differs per shard: float32 rounding only
-            assert g.directive.probability == pytest.approx(
-                e.directive.probability, abs=1e-6)
-            assert g.directive.recovered == e.directive.recovered
+            assert g.probability == pytest.approx(
+                e.probability, abs=1e-6)
+            assert g.recovered == e.recovered
             assert g.clauses.keys() == e.clauses.keys()
             for name, clause in g.clauses.items():
                 assert clause.probability == pytest.approx(
                     e.clauses[name].probability, abs=1e-6)
-        assert any(e.directive.recovered for e in expected)
+        assert any(e.recovered for e in expected)
 
 
 # -- fleet process lifetime ------------------------------------------------------
@@ -545,9 +544,9 @@ fleet = ShardedEngine(functools.partial(MultiModelEngine, registry),
                       n_shards=2, shared_weights=shared)
 snippets = ["for (i = 0; i < n; i++) s += a[i];",
             "for (i = 1; i < n; i++) a[i] = a[i-1];"]
-fleet.advise_full_many(snippets)
+fleet.advise_v1(snippets)
 fleet.reload(second)
-fleet.advise_full_many(snippets)
+fleet.advise_v1(snippets)
 if mode == "close":
     fleet.close()
 else:

@@ -2,9 +2,11 @@
 
 Three contracts:
 
-* **parity** — the legacy ``advise*`` sprawl and the v1 surface answer
-  bit-identically, field by field: the old methods are thin shims now
-  and must never drift from ``advise_v1``;
+* **one verdict everywhere** — the same trace (clean snippets, the dirty
+  corpus, an oversize snippet) gets the same verdict, probability,
+  clauses, ``degraded`` and ``recovered`` from every surface: the
+  engine with and without gating, the async path, the fleet at 1 and 2
+  shards, and HTTP batch, ``/v1/advise`` and legacy ``/advise``;
 * **context** — ``model_version`` / ``arm`` / ``recovered`` /
   ``degraded`` ride first-class on every result (engine, fleet, HTTP);
 * **wire** — ``/v1/*`` endpoints serve the new schema,
@@ -12,11 +14,13 @@ Three contracts:
   answering (the v1 body is a strict superset of the legacy body).
 """
 
+import functools
 import json
 import threading
 import urllib.error
 import urllib.request
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +29,7 @@ from repro.models.pragformer import PragFormerConfig
 from repro.serve import (
     SCHEMA_VERSION,
     AdviceRequest,
+    EngineConfig,
     ModelRegistry,
     MultiModelEngine,
     ShardedEngine,
@@ -87,36 +92,6 @@ class TestAdviceRequest:
             AdviceRequest.of(42)
 
 
-class TestEngineParity:
-    """The legacy shims and advise_v1 must answer identically."""
-
-    def test_v1_dict_is_strict_superset_of_legacy(self, engine):
-        for code in SNIPPETS:
-            legacy = engine.advise_full(code).as_dict()
-            v1 = engine.advise_v1([code])[0].as_dict()
-            for key, value in legacy.items():
-                assert v1[key] == value, key
-            assert set(v1) - set(legacy) == {"recovered", "model_version",
-                                             "arm"}
-
-    def test_single_and_bulk_shims_match_v1(self, engine):
-        results = engine.advise_v1(SNIPPETS)
-        advices = engine.advise_many(SNIPPETS)
-        fulls = engine.advise_full_many(SNIPPETS)
-        for code, res, adv, full in zip(SNIPPETS, results, advices, fulls):
-            assert res.verdict == adv.needs_directive
-            assert res.probability == pytest.approx(adv.probability)
-            assert res.clauses == full.clauses
-            assert engine.advise(code).probability == pytest.approx(
-                res.probability)
-
-    def test_shims_are_marked_deprecated(self):
-        for name in ("advise", "advise_many", "advise_full",
-                     "advise_full_many"):
-            doc = getattr(MultiModelEngine, name).__doc__
-            assert "deprecated" in doc, name
-
-
 class TestOperationalContext:
     def test_id_is_echoed(self, engine):
         results = engine.advise_v1([AdviceRequest(code=SNIPPETS[0], id="r7")])
@@ -163,17 +138,6 @@ class TestShardedV1:
         return ShardedEngine(
             functools.partial(_build_multi, str(path)), n_shards=n_shards)
 
-    def test_fleet_parity_with_legacy_bulk(self, checkpoints):
-        a, _ = checkpoints
-        with self._fleet(a) as sharded:
-            fulls = sharded.advise_full_many(SNIPPETS)
-            results = sharded.advise_v1(SNIPPETS)
-            for full, res in zip(fulls, results):
-                assert res.probability == pytest.approx(
-                    full.directive.probability)
-                assert res.verdict == full.directive.needs_directive
-                assert res.arm == "primary"
-
     def test_fleet_recovered_from_worker_lexing(self, checkpoints):
         """Workers lex the source text, so ``recovered`` comes back from
         them on the result — no router-side bookkeeping."""
@@ -195,9 +159,9 @@ class TestShardedV1:
                 assert res.arm == "primary"
                 assert res.model_version == promoted
 
-def _build_multi(path):
+def _build_multi(path, config=None):
     """Module-level worker factory (picklable under 'spawn')."""
-    return MultiModelEngine(ModelRegistry.from_checkpoint(path))
+    return MultiModelEngine(ModelRegistry.from_checkpoint(path), config)
 
 
 def _get(url):
@@ -289,3 +253,113 @@ class TestHTTPv1:
             raise AssertionError("expected 404")
         except urllib.error.HTTPError as exc:
             assert exc.code == 404
+
+
+DIRTY_DIR = Path(__file__).parent / "data" / "dirty"
+
+#: a byte cap small enough that one snippet of the trace is rejected
+LIMITS = EngineConfig(max_snippet_bytes=16384)
+OVERSIZE = "for (i = 0; i < n; i++) a[i] = b[i];\n" * 600
+
+#: the keys legacy ``POST /advise`` answers with
+LEGACY_KEYS = {"needs_directive", "p_directive", "clauses",
+               "recommended_clauses", "degraded"}
+
+
+class TestCrossSurfaceVerdicts:
+    """One trace through every advice surface; each must answer what
+    the ungated in-process engine answers."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        dirty = [path.read_bytes().decode("utf-8", errors="replace")
+                 for path in sorted(DIRTY_DIR.glob("*.c"))]
+        assert len(dirty) >= 50
+        return SNIPPETS + [DIRTY] + dirty + [OVERSIZE]
+
+    @pytest.fixture(scope="class")
+    def ckpt(self, vocab, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cross") / "ckpt"
+        _registry(vocab).save(path)
+        return str(path)
+
+    @pytest.fixture(scope="class")
+    def reference(self, ckpt, trace):
+        with _build_multi(ckpt, LIMITS) as engine:
+            ref = [res.as_dict() for res in engine.advise_v1(trace)]
+        # the trace must exercise every flag the surfaces have to agree on
+        assert sum(r["degraded"] for r in ref) == 1
+        assert any(r["recovered"] for r in ref)
+        assert any(r["needs_directive"] for r in ref)
+        assert any(not r["needs_directive"] for r in ref)
+        return ref
+
+    @staticmethod
+    def _assert_same(reference, bodies, legacy=False):
+        assert len(bodies) == len(reference)
+        for ref, body in zip(reference, bodies):
+            if legacy:
+                assert set(body) == LEGACY_KEYS
+            else:
+                assert body["recovered"] == ref["recovered"]
+            assert body["needs_directive"] == ref["needs_directive"]
+            assert body["p_directive"] == pytest.approx(ref["p_directive"],
+                                                        abs=1e-5)
+            assert body["degraded"] == ref["degraded"]
+            assert set(body["clauses"]) == set(ref["clauses"])
+            for name, clause in body["clauses"].items():
+                expected = ref["clauses"][name]
+                assert clause["suggested"] == expected["suggested"]
+                assert clause["probability"] == pytest.approx(
+                    expected["probability"], abs=1e-5)
+            assert body["recommended_clauses"] == ref["recommended_clauses"]
+
+    def test_gated_engine(self, ckpt, trace, reference):
+        """The two-stage gated pipeline; a margin of 0.5 fans every row
+        out, so the clause sets match the ungated reference."""
+        with _build_multi(ckpt, replace(LIMITS, gate_margin=0.5)) as engine:
+            results = engine.advise_v1(trace)
+            assert engine.stats()["clause_gating"]["fanned_out"] == \
+                len(trace) - 1
+        self._assert_same(reference, [r.as_dict() for r in results])
+
+    def test_async_engine(self, ckpt, trace, reference):
+        with _build_multi(ckpt, LIMITS) as engine:
+            results = [engine.advise_v1_async(code, timeout=30)
+                       for code in trace]
+        self._assert_same(reference, [r.as_dict() for r in results])
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_sharded_engine(self, ckpt, trace, reference, n_shards):
+        with ShardedEngine(functools.partial(_build_multi, ckpt, LIMITS),
+                           n_shards=n_shards) as fleet:
+            results = fleet.advise_v1(trace)
+        self._assert_same(reference, [r.as_dict() for r in results])
+
+    @pytest.fixture()
+    def url(self, ckpt):
+        advisor = _build_multi(ckpt, LIMITS)
+        server = make_server(advisor, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        host, port = server.server_address[:2]
+        yield f"http://{host}:{port}"
+        server.shutdown()
+        server.server_close()
+        advisor.close()
+        thread.join(timeout=5)
+
+    def test_http_batch(self, url, trace, reference):
+        status, body = _post(url + "/v1/advise/batch", {"codes": trace})
+        assert status == 200
+        self._assert_same(reference, body["results"])
+
+    def test_http_v1_advise(self, url, trace, reference):
+        bodies = [_post(url + "/v1/advise", {"code": code})[1]
+                  for code in trace]
+        self._assert_same(reference, bodies)
+
+    def test_http_legacy_advise(self, url, trace, reference):
+        bodies = [_post(url + "/advise", {"code": code})[1]
+                  for code in trace]
+        self._assert_same(reference, bodies, legacy=True)

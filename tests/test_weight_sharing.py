@@ -100,8 +100,8 @@ def _fleet(path, n_shards=2, share=True, supervisor=None):
 
 
 def _probs(advisor, codes=SNIPPETS):
-    return [full.directive.probability
-            for full in advisor.advise_full_many(codes)]
+    return [full.probability
+            for full in advisor.advise_v1(codes)]
 
 
 class TestReloadSegmentSwap:
